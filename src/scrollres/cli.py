@@ -29,10 +29,16 @@ USAGE_ERROR = 2
 
 def _scroll_arg(text: str) -> ScrollSpec:
     try:
-        blocks = [int(part) for part in text.split(",") if part != ""]
+        blocks = [int(part) for part in text.split(",")]
         return build_scroll(blocks)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad scroll {text!r}: {exc}") from None
+
+
+def _count_arg(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _dump(obj, out_path: str | None) -> None:
@@ -42,18 +48,6 @@ def _dump(obj, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _require_two_blocks(spec: ScrollSpec, what: str) -> None:
-    if spec.k != 2:
-        raise SystemExit2(
-            f"{what} needs a 2-block scroll: the explicit resolution "
-            "is only constructed for k = 2"
-        )
-
-
-class SystemExit2(Exception):
-    """Usage-level error carrying exit code 2."""
 
 
 def cmd_betti(args) -> int:
@@ -86,7 +80,6 @@ def cmd_faces(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    _require_two_blocks(args.scroll, "resolve")
     res = field_resolution(args.scroll, args.steps)
     if args.format == "text":
         lines = []
@@ -105,13 +98,12 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_two_blocks(args.scroll, "verify")
     spec = args.scroll
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"complex", "minimal", "exact", "minors", "ranks", "groebner"}
     for c in wanted:
         if c not in known:
-            raise SystemExit2(f"unknown check {c!r}; choose from {sorted(known)}")
+            raise ValueError(f"unknown check {c!r}; choose from {sorted(known)}")
     res = field_resolution(spec, args.steps)
     if args.inject_fault:
         res = inject_fault(res, args.inject_fault)
@@ -139,9 +131,8 @@ def cmd_verify(args) -> int:
             for target, d in targets:
                 for var in range(1, spec.n + 1):
                     cert = minor_certificate(spec, target, var, d=d)
-                    name = cert.target if d is None else f"{cert.target}"
                     reports.append({
-                        "name": f"minor:{name}:x{var}",
+                        "name": f"minor:{cert.target}:x{var}",
                         "target": str(spec),
                         "verdict": "pass" if cert.status != "failed" else "fail",
                         "details": cert.to_json_obj(),
@@ -184,21 +175,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, steps=False):
+    def common(sp, formats=("text", "json")):
         sp.add_argument("--scroll", type=_scroll_arg, required=True,
                         help="comma-separated block sizes, e.g. 3,3")
-        sp.add_argument("--format", choices=("json", "text"), default="text",
-                        help="output format (default: text)")
+        sp.add_argument("--format", choices=formats, default=formats[0],
+                        help=f"output format (default: {formats[0]})")
         sp.add_argument("--out", default=None, help="write output to this path")
 
     sp = sub.add_parser("betti", help="Betti numbers of the residue field")
     common(sp)
-    sp.add_argument("--max", type=int, default=6, help="largest index (default 6)")
+    sp.add_argument("--max", type=_count_arg, default=6, help="largest index (default 6)")
     sp.set_defaults(func=cmd_betti)
 
     sp = sub.add_parser("hilbert", help="Hilbert series coefficients")
     common(sp)
-    sp.add_argument("--terms", type=int, default=8,
+    sp.add_argument("--terms", type=_count_arg, default=8,
                     help="series truncation order (default 8)")
     sp.set_defaults(func=cmd_hilbert)
 
@@ -207,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_faces)
 
     sp = sub.add_parser("resolve", help="build the field resolution (k=2)")
-    common(sp)
+    common(sp, ("json", "text"))
     sp.add_argument("--steps", type=int, default=4, help="number of differentials")
-    sp.set_defaults(func=cmd_resolve, format="json")
+    sp.set_defaults(func=cmd_resolve)
 
     sp = sub.add_parser("verify", help="run certification checks (k=2)")
-    common(sp)
+    common(sp, ("json",))
     sp.add_argument("--steps", type=int, default=4)
     sp.add_argument("--checks", default="complex,minimal,exact,minors",
                     help="comma list: complex,minimal,exact,minors,ranks,groebner")
@@ -221,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--inject-fault", choices=FAULT_KINDS, default=None,
                     help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_verify, format="json")
+    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("oracle", help="finite-field Betti recomputation")
-    common(sp)
+    common(sp, ("json",))
     sp.add_argument("--imax", type=int, default=3)
     sp.add_argument("--modulus", type=int, default=32003)
     sp.add_argument("--compare", action="store_true",
                     help="compare against the closed-form Betti numbers")
-    sp.set_defaults(func=cmd_oracle, format="json")
+    sp.set_defaults(func=cmd_oracle)
     return ap
 
 
@@ -241,9 +232,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

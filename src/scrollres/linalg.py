@@ -1,15 +1,23 @@
 """Dense exact linear algebra over a prime field F_p.
 
-Matrices are float64 arrays holding exact integers of magnitude below
-2**53.  Reduction produces signed residues in [-p/2, p/2]; products of
-two reduced values (~ p**2 / 4 < 2**30 for p = 32003) accumulate
-additively during blocked elimination, so everything stays exactly
-representable as long as the pivot count times p**2 stays under 2**53 --
-true by orders of magnitude at the sizes this package handles.
+`rank_modp` and `nullspace_modp` are the entry points.  The matrices
+this package builds are block-diagonal up to a permutation, so both
+split their input into the connected components of its row-column
+nonzero graph and reduce each component with `rref_modp`, the one
+elimination loop.
+
+Matrices are float64 arrays holding exact integers.  Reduction keeps
+signed residues in [-p/2, p/2]; scaling a pivot row by an inverse in
+[1, p) stays below p**2 / 2, and an elimination update adds at most
+p**2 / 4 to a residue.  So every intermediate stays below p**2 / 2
+whatever the matrix size, which is exact in float64 (and in
+`reduce_mod`) for p < MAX_MODULUS = 2**26.  Larger moduli are refused.
 """
 from __future__ import annotations
 
 import numpy as np
+
+MAX_MODULUS = 2**26
 
 
 def is_prime(q: int) -> bool:
@@ -41,128 +49,6 @@ def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _swap_rows(a: np.ndarray, i: int, j: int) -> None:
-    if i != j:
-        a[[i, j], :] = a[[j, i], :]
-
-
-def _unit_lower_inverse_modp(L: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a unit lower triangular matrix over F_p (small s x s)."""
-    s = L.shape[0]
-    X = np.eye(s, dtype=np.float64)
-    for t in range(1, s):
-        X[t, :t] = -(L[t, :t] @ X[:t, :t])
-        reduce_mod(X[t, :t], p)
-    return X
-
-
-def _factor_panel_t(PT: np.ndarray, p: int, A: np.ndarray, r: int, sub: int = 32) -> list[int]:
-    """LU-factor a panel given TRANSPOSED (columns as contiguous rows).
-
-    PT has shape (panel width b) x (active rows mr); PT[j, i] is panel
-    entry (row i, column j).  Returns panel pivot columns; multipliers
-    are stored in place of the eliminated entries; row swaps (= column
-    swaps of PT) are mirrored onto the full matrix A at global row r.
-    The panel is processed in narrow sub-panels with gemm updates.
-    """
-    b, mr = PT.shape
-    piv: list[int] = []
-    for j0 in range(0, b, sub):
-        j1 = min(j0 + sub, b)
-        s0 = len(piv)
-        for j in range(j0, j1):
-            rr = len(piv)
-            if rr == mr:
-                break
-            row = PT[j, rr:]
-            reduce_mod(row, p)
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                continue
-            i = rr + nz[0]
-            if i != rr:
-                PT[:, [rr, i]] = PT[:, [i, rr]]
-                _swap_rows(A, r + rr, r + i)
-            inv = pow(int(PT[j, rr]), p - 2, p)
-            mult = PT[j, rr + 1:] * inv
-            reduce_mod(mult, p)
-            if j + 1 < j1:
-                u = PT[j + 1:j1, rr].copy()
-                reduce_mod(u, p)
-                PT[j + 1:j1, rr + 1:] -= np.outer(u, mult)
-            PT[j, rr + 1:] = mult
-            piv.append(j)
-        s = len(piv) - s0
-        if s and j1 < b:
-            sub_piv = piv[s0:]
-            L11t = PT[sub_piv, s0:s0 + s]  # transposed unit-lower factor
-            Linv = _unit_lower_inverse_modp(np.tril(L11t.T, -1) + np.eye(s), p)
-            UT = PT[j1:, s0:s0 + s]
-            reduce_mod(UT, p)
-            UT[:] = UT @ Linv.T
-            reduce_mod(UT, p)
-            PT[j1:, s0 + s:] -= UT @ PT[sub_piv, s0 + s:]
-    return piv
-
-
-def rank_modp(
-    a: np.ndarray,
-    p: int,
-    block: int = 256,
-    stop_at: int | None = None,
-    overwrite: bool = False,
-) -> int:
-    """Rank over F_p by right-looking blocked Gaussian elimination.
-
-    `a` may be any integer-valued array; it is copied to float64 unless
-    `overwrite` is set and it already is one.  If `stop_at` is given,
-    elimination returns as soon as that many pivots are found (sound
-    when the caller knows an a-priori upper bound on the rank).
-
-    Each panel is factored transposed in a contiguous scratch buffer,
-    its pivot rows are fixed up with one small triangular-inverse gemm,
-    and the trailing matrix receives a single (chunked) gemm update.
-    Trailing values are left unreduced between panels; they stay below
-    pivots * p**2 << 2**53.
-    """
-    if overwrite and isinstance(a, np.ndarray) and a.dtype == np.float64:
-        A = a
-    else:
-        A = np.array(a, dtype=np.float64)
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return 0
-    reduce_mod(A, p)
-    r = 0
-    c0 = 0
-    buf = None
-    while c0 < n and r < m:
-        c1 = min(c0 + block, n)
-        PT = A[r:, c0:c1].T.copy()  # panel transposed: columns contiguous
-        piv = _factor_panel_t(PT, p, A, r)
-        s = len(piv)
-        if s and c1 < n:
-            Lt = PT[piv]  # row j is panel pivot column j
-            Linv = _unit_lower_inverse_modp(np.tril(Lt[:, :s].T, -1) + np.eye(s), p)
-            U = A[r:r + s, c1:]
-            reduce_mod(U, p)
-            U[:] = Linv @ U
-            reduce_mod(U, p)
-            L21t = Lt[:, s:]
-            if buf is None:
-                buf = np.empty((A.shape[0], 4096), dtype=np.float64)
-            for w0 in range(c1, n, 4096):  # chunk to bound the gemm temporary
-                w1 = min(w0 + 4096, n)
-                out = buf[:L21t.shape[1], :w1 - w0]
-                np.matmul(L21t.T, U[:, w0 - c1:w1 - c1], out=out)
-                A[r + s:, w0:w1] -= out
-        r += s
-        c0 = c1
-        if stop_at is not None and r >= stop_at:
-            return r
-    return r
-
-
 def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (R, pivot_columns)."""
     A = np.array(a, dtype=np.float64)
@@ -173,42 +59,95 @@ def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(n):
         if r == m:
             break
-        col = A[r:, c]
-        nz = np.flatnonzero(col)
+        nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
-        _swap_rows(A, r, r + nz[0])
-        inv = pow(int(A[r, c]), p - 2, p)
-        row = A[r] * inv
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        # rows r.. vanish left of c, so the pivot row does and only
+        # columns c.. change
+        row = A[r, c:] * pow(int(A[r, c]), p - 2, p)
         reduce_mod(row, p)
-        A[r] = row
-        col_all = A[:, c].copy()
-        col_all[r] = 0.0
-        nzr = np.flatnonzero(col_all)
+        A[r, c:] = row
+        col = A[:, c].copy()
+        col[r] = 0.0
+        nzr = np.flatnonzero(col)
         if nzr.size:
-            sub = A[nzr]  # fancy indexing copies; write back explicitly
-            sub -= np.outer(col_all[nzr], row)
+            sub = A[nzr, c:]  # fancy indexing copies; write back explicitly
+            sub -= np.outer(col[nzr], row)
             reduce_mod(sub, p)
-            A[nzr] = sub
+            A[nzr, c:] = sub
         pivots.append(c)
         r += 1
     return A, pivots
 
 
+def _components(a: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of each connected component of the nonzeros of `a`.
+
+    Rows and columns are the nodes and every nonzero entry is an edge.
+    Union-find on whole arrays: each root is hooked to the smallest root
+    it shares an edge with, then labels jump to their roots, until every
+    edge joins equal labels.  Index lists are ascending; all-zero rows
+    and columns belong to no component.  A nonzero entry that is 0 mod p
+    only merges two components, which is still sound.  Moduli outside
+    [2, MAX_MODULUS) are refused here, for both entry points.
+    """
+    if not 2 <= p < MAX_MODULUS:
+        raise ValueError(
+            f"modulus {p} is outside 2 <= p < 2**26, the range where "
+            "float64 elimination over F_p is exact"
+        )
+    m = a.shape[0]
+    u, v = np.nonzero(a)
+    v = v + m
+    label = np.arange(m + a.shape[1])
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        lo = np.minimum(lu, lv)
+        np.minimum.at(label, lu, lo)
+        np.minimum.at(label, lv, lo)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    nodes = np.union1d(u, v)
+    order = np.argsort(label[nodes], kind="stable")
+    nodes, lab = nodes[order], label[nodes[order]]
+    groups = np.split(nodes, np.flatnonzero(lab[1:] != lab[:-1]) + 1)
+    return [(g[g < m], g[g >= m] - m) for g in groups if g.size]
+
+
+def rank_modp(a: np.ndarray, p: int) -> int:
+    """Rank over F_p: the sum of the ranks of the connected components."""
+    a = np.asarray(a)
+    return sum(len(rref_modp(a[np.ix_(rs, cs)], p)[1])
+               for rs, cs in _components(a, p))
+
+
 def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel over F_p, returned as int64 columns."""
-    A = np.asarray(a)
-    m, n = A.shape
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
-    R, pivots = rref_modp(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for rr, pc in enumerate(pivots):
-            v = int(R[rr, c])
-            if v:
-                basis[pc, idx] = (-v) % p
+    """Basis of the right kernel over F_p, returned as int64 columns.
+
+    One column per non-pivot column c of the reduced row echelon form, in
+    increasing c: 1 at c, minus column c of R at the pivot positions,
+    0 elsewhere.  All-zero columns of `a` give unit vectors.
+    """
+    a = np.asarray(a)
+    n = a.shape[1]
+    free = np.ones(n, dtype=bool)
+    parts = []
+    for rs, cs in _components(a, p):
+        R, pivots = rref_modp(a[np.ix_(rs, cs)], p)
+        free[cs[pivots]] = False
+        parts.append((cs, pivots, R[:len(pivots)]))
+    slot = np.cumsum(free) - 1  # basis column of each free column
+    basis = np.zeros((n, int(free.sum())), dtype=np.int64)
+    fc = np.flatnonzero(free)
+    basis[fc, slot[fc]] = 1
+    for cs, pivots, R in parts:
+        f = np.flatnonzero(free[cs])
+        basis[np.ix_(cs[pivots], slot[cs[f]])] = np.mod(-R[:, f], p)
     return basis

@@ -155,7 +155,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     cstack = np.eye(n, dtype=np.float64).reshape(1, n, n)
     prev_nullity = {2: rdim(2), 3: rdim(3)}  # ker(d_0)_j = R_j for j >= 1
     for j in (2, 3):
-        r = rank_modp(_degree_matrix(spec, cstack, j - 1, p), p, overwrite=True)
+        r = rank_modp(_degree_matrix(spec, cstack, j - 1, p), p)
         table.entries[(1, j)] = prev_nullity[j] - r
         prev_nullity[j] = len(graded_basis(spec, j - 1)) * n - r  # ker(d_1)_j
 
@@ -163,7 +163,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     for i in range(2, imax + 1):
         # degree i-1: columns of d_{i-1} there are the kernel basis itself
         m_lo = _degree_matrix(spec, cstack, 0, p)
-        table.entries[(i, i - 1)] = m_lo.shape[1] - rank_modp(m_lo, p, overwrite=True)
+        table.entries[(i, i - 1)] = m_lo.shape[1] - rank_modp(m_lo, p)
         # degree i: fresh minimal generators
         m_mid = _degree_matrix(spec, cstack, 1, p)
         kernel = nullspace_modp(m_mid, p)
@@ -175,7 +175,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
         }
         if nullity_mid[i + 2] is None:
             m = _degree_matrix(spec, cstack, 3, p)
-            nullity_mid[i + 2] = m.shape[1] - rank_modp(m, p, overwrite=True)
+            nullity_mid[i + 2] = m.shape[1] - rank_modp(m, p)
         if g_cur == 0:
             table.entries[(i, i + 1)] = nullity_mid[i + 1]
             table.entries[(i, i + 2)] = nullity_mid[i + 2]
@@ -186,13 +186,11 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
         new_stack = np.ascontiguousarray(
             kernel.reshape(g_prev, n, g_cur).astype(np.float64)
         )
-        # image ranks never exceed the matching kernel dims (the complex
-        # property holds by construction), so they double as stop bounds
         m_up = _degree_matrix(spec, new_stack, 1, p)
-        r_up = rank_modp(m_up, p, stop_at=nullity_mid[i + 1], overwrite=True)
+        r_up = rank_modp(m_up, p)
         table.entries[(i, i + 1)] = nullity_mid[i + 1] - r_up
         m_up2 = _degree_matrix(spec, new_stack, 2, p)
-        r_up2 = rank_modp(m_up2, p, stop_at=nullity_mid[i + 2], overwrite=True)
+        r_up2 = rank_modp(m_up2, p)
         table.entries[(i, i + 2)] = nullity_mid[i + 2] - r_up2
         # the next step reads ker(d_i)_{i+2}; ker(d_i)_{i+3} is done lazily
         prev_nullity = {i + 2: g_cur * rdim(2) - r_up2}

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .scrolls import Monomial, ScrollSpec, minor_generators, toric_matrix
+from .scrolls import (Monomial, ScrollSpec, format_monomial, minor_generators,
+                      toric_matrix)
 
 
 def lex_compare(a: Monomial, b: Monomial) -> int:
@@ -346,7 +347,7 @@ class Element:
         parts = []
         for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
-            mono = _format_monomial(m)
+            mono = format_monomial(m)
             if self.modulus is None and c < 0:
                 sign, mag = "-", -c
             else:
@@ -365,16 +366,6 @@ class Element:
         return out
 
     __repr__ = __str__
-
-
-def _format_monomial(m: Monomial) -> str:
-    parts = []
-    for i, e in enumerate(m, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 @lru_cache(maxsize=None)
@@ -398,19 +389,3 @@ def standard_monomials(spec: ScrollSpec, d: int) -> list[Monomial]:
 
 def adegree(mono: Monomial, spec: ScrollSpec) -> tuple[int, ...]:
     return ring_for(spec).adegree(tuple(mono))
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def negate(a: Element) -> Element:
-    return -a
-
-
-def scalar_mul(c, a: Element) -> Element:
-    return a.scalar_mul(c)

@@ -81,10 +81,10 @@ class Binomial:
     minus: Monomial
 
     def __str__(self) -> str:
-        return f"{_mono_str(self.plus)} - {_mono_str(self.minus)}"
+        return f"{format_monomial(self.plus)} - {format_monomial(self.minus)}"
 
 
-def _mono_str(mono: Monomial) -> str:
+def format_monomial(mono: Monomial) -> str:
     parts = []
     for i, e in enumerate(mono, start=1):
         if e == 1:

@@ -162,35 +162,21 @@ def _face_numbers_formula(spec: ScrollSpec) -> FaceVector:
 
 
 def face_numbers(spec: ScrollSpec) -> FaceVector:
-    """f-vector of the complex; enumeration and closed formula must agree."""
-    enum = _face_numbers_enumerated(spec)
-    form = _face_numbers_formula(spec)
-    if enum != form:
-        raise AssertionError(
-            f"face count mismatch for {spec}: enumerated {enum.counts}, "
-            f"formula {form.counts}"
-        )
-    return enum
+    """f-vector of the complex, by the closed formula.
+
+    The enumeration over the facets, exponential in k, is the reference
+    the tests compare it against.
+    """
+    return _face_numbers_formula(spec)
 
 
 def hilbert_series(spec: ScrollSpec) -> RationalForm:
     """Hilbert series (1 + (n-k-1) t) / (1-t)**(k+1).
 
-    The same numerator is recomputed from the f-vector via the face-ring
-    formula sum_d f_{d-1} t**d (1-t)**(k+1-d); disagreement is fatal.
+    The tests recompute the numerator from the enumerated f-vector via the
+    face-ring formula sum_d f_{d-1} t**d (1-t)**(k+1-d).
     """
     k, n = spec.k, spec.n
-    fv = face_numbers(spec)
-    acc = [0] * (k + 2)
-    for d in range(0, k + 2):
-        term = [0] * d + _binomial_power(-1, k + 1 - d)  # f_{d-1} t^d (1-t)^{k+1-d}
-        for i, c in enumerate(term):
-            acc[i] += fv.f(d - 1) * c
-    expected = [1, n - k - 1] + [0] * k
-    if acc != expected:
-        raise AssertionError(
-            f"face-ring numerator {acc} differs from closed form {expected} for {spec}"
-        )
     return RationalForm((1, n - k - 1), tuple(_binomial_power(-1, k + 1)))
 
 

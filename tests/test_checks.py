@@ -38,7 +38,9 @@ def test_probe_rank_zero_matrix():
 
 
 def test_probe_rank_known_values():
-    assert probe_rank(phi(S33, 1), claimed=3, seed=2).probe == 3
+    rep = probe_rank(phi(S33, 1), claimed=3, seed=2)
+    assert (rep.probe, rep.probes_run) == (3, 1)  # stops once the claim is met
+    assert probe_rank(phi(S33, 1), seed=2).probes_run == 5
     assert probe_rank(staircase(S33, 5), claimed=4, seed=2).probe == 4
     assert probe_rank(phi(S33, 0), claimed=1, seed=2).probe == 1
 

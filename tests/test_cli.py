@@ -64,9 +64,27 @@ def test_resolve_requires_two_blocks(capsys):
 
 
 def test_bad_scroll_is_usage_error(capsys):
-    assert main(["betti", "--scroll", "1,3"]) == 2
-    assert main(["betti", "--scroll", "oops"]) == 2
-    assert main(["frobnicate", "--scroll", "3,3"]) == 2
+    for argv in (["betti", "--scroll", "1,3"],
+                 ["betti", "--scroll", "oops"],
+                 ["frobnicate", "--scroll", "3,3"],
+                 ["betti", "--scroll", "3,3", "--max", "-1"],
+                 ["hilbert", "--scroll", "3,3", "--terms", "-1"],
+                 ["hilbert", "--scroll", "3,3", "--terms", "-2"],
+                 ["betti", "--scroll", "3,,3"],
+                 ["verify", "--scroll", "3,3", "--format", "text"],
+                 ["oracle", "--scroll", "3,3", "--format", "text"]):
+        rc, out = run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+
+
+def test_modulus_beyond_exact_range_is_usage_error(capsys):
+    for argv in (["verify", "--scroll", "3,3", "--steps", "4",
+                  "--checks", "exact", "--modulus", "2147483647"],
+                 ["oracle", "--scroll", "3,3", "--modulus", "2147483647"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2**26" in captured.err
 
 
 def test_verify_passes_and_reports(capsys):

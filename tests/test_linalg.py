@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from scrollres.linalg import is_prime, nullspace_modp, rank_modp, reduce_mod, rref_modp
+from scrollres.linalg import (MAX_MODULUS, is_prime, nullspace_modp, rank_modp,
+                              reduce_mod, rref_modp)
 
 
 def reference_rank(rows, p):
@@ -46,17 +48,57 @@ def test_rank_random_matrices_match_reference():
                 mat = (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
             else:
                 mat = np.zeros((m, n), dtype=int)
-            want = reference_rank(mat.tolist(), p)
-            for block in (2, 7, 64, 256):
-                assert rank_modp(mat, p, block=block) == want
+            assert rank_modp(mat, p) == reference_rank(mat.tolist(), p)
 
 
-def test_rank_stop_at_is_sound():
-    rng = np.random.default_rng(1)
-    p = 101
-    mat = (rng.integers(0, p, size=(30, 10)) @ rng.integers(0, p, size=(10, 40))) % p
-    assert rank_modp(mat, p, stop_at=10) == 10
-    assert rank_modp(mat, p, stop_at=5) >= 5
+def permuted_block_diagonal(rng, p):
+    """Random low-rank blocks on the diagonal, zero rows and columns,
+    every entry 1 replaced by p (nonzero but 0 mod p), rows and columns
+    shuffled."""
+    blocks = []
+    for _ in range(int(rng.integers(0, 5))):
+        m, n = (int(x) for x in rng.integers(1, 8, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        blocks.append((rng.integers(0, p, size=(m, r))
+                       @ rng.integers(0, p, size=(r, n))) % p)
+    rows = sum(b.shape[0] for b in blocks) + int(rng.integers(0, 3))
+    cols = sum(b.shape[1] for b in blocks) + int(rng.integers(0, 3))
+    mat = np.zeros((rows, cols), dtype=np.int64)
+    r0 = c0 = 0
+    for b in blocks:
+        mat[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    mat[mat == 1] = p
+    return mat[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def test_component_split_rank_and_nullspace():
+    rng = np.random.default_rng(3)
+    for p in (3, 101, 32003):
+        for _ in range(40):
+            mat = permuted_block_diagonal(rng, p)
+            rank = reference_rank(mat.tolist(), p)
+            assert rank_modp(mat, p) == rank
+            basis = nullspace_modp(mat, p)
+            assert basis.shape == (mat.shape[1], mat.shape[1] - rank)
+            if basis.size:
+                assert not (mat @ basis % p).any()
+                assert rank_modp(basis, p) == basis.shape[1]
+
+
+def test_modulus_bound_is_enforced():
+    rng = np.random.default_rng(5)
+    big = 2**31 - 1  # prime, beyond the exact range
+    mat = rng.integers(0, big, size=(60, 90))
+    for f in (rank_modp, nullspace_modp):
+        with pytest.raises(ValueError, match=r"2\*\*26"):
+            f(mat, big)
+        with pytest.raises(ValueError, match=r"2\*\*26"):
+            f(np.zeros((2, 2)), big)
+    p = 67108859  # largest prime below the bound
+    assert is_prime(p) and p < MAX_MODULUS
+    mat = (rng.integers(0, p, size=(60, 30)) @ rng.integers(0, p, size=(30, 90))) % p
+    assert rank_modp(mat, p) == reference_rank(mat.tolist(), p) == 30
 
 
 def test_rank_edge_shapes():

@@ -1,10 +1,12 @@
 import json
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from scrollres.scrolls import build_scroll, minor_generators
-from scrollres.series import (FaceVector, IntSeries, RationalForm, betti,
+from scrollres.series import (FaceVector, IntSeries, RationalForm,
+                              _face_numbers_enumerated, betti,
                               betti_tail, delta_facets, face_numbers,
                               hilbert_coefficients, hilbert_series,
                               initial_ideal_generators, koszul_defect,
@@ -118,6 +120,19 @@ def test_hilbert_series_3_3():
     assert hs.num == (1, 3)
     assert hs.den == (1, -3, 3, -1)
     assert hilbert_coefficients(S33, 3).coefficients == (1, 6, 15, 28)
+
+
+def test_face_ring_numerator_matches_closed_form():
+    # sum_d f_{d-1} t**d (1-t)**(k+1-d) over the enumerated f-vector
+    for spec in all_specs(3, 9):
+        fv = _face_numbers_enumerated(spec)
+        k = spec.k
+        acc = [0] * (k + 2)
+        for d in range(k + 2):
+            for i in range(k + 2 - d):
+                acc[d + i] += fv.f(d - 1) * (-1) ** i * comb(k + 1 - d, i)
+        num = list(hilbert_series(spec).num)
+        assert acc == num + [0] * (k + 2 - len(num)), spec
 
 
 def test_hilbert_series_2_2():
