@@ -13,6 +13,6 @@ from .checks import (CheckReport, MinorCertificate, RankReport, check_complex,
                      check_exactness, check_minimality, check_phi_ranks,
                      groebner_consistency, inject_fault, minor_certificate,
                      probe_rank)
-from .oracle import BettiTable, GradedBasis, betti_oracle, compare_with_formula, multiplication_map
+from .oracle import BettiTable, betti_oracle, compare_with_formula, multiplication_map
 
 __all__ = [name for name in dir() if not name.startswith("_")]

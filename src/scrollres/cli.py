@@ -4,7 +4,8 @@ Subcommands mirror the library: betti, hilbert, faces, resolve, verify,
 oracle.  JSON output is deterministic for a fixed (argv, seed): keys are
 sorted and mathematical values are emitted as decimal strings so that no
 consumer has to assume a native integer width.  Exit codes: 0 success /
-all checks pass, 1 check failure, 2 usage error.
+all checks pass, 1 check failure, 2 usage error (including inputs too
+large to compute in memory).
 
 Block sizes are what every formula consumes, so --scroll takes the
 comma-separated block sizes m_i; the classical label of the variety is
@@ -104,6 +105,8 @@ def cmd_verify(args) -> int:
     for c in wanted:
         if c not in known:
             raise ValueError(f"unknown check {c!r}; choose from {sorted(known)}")
+    if not wanted or len(set(wanted)) < len(wanted):
+        raise ValueError(f"--checks must name each check once, got {args.checks!r}")
     res = field_resolution(spec, args.steps)
     if args.inject_fault:
         res = inject_fault(res, args.inject_fault)
@@ -232,8 +235,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
 
 

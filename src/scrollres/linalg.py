@@ -1,12 +1,14 @@
-"""Dense exact linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
-`rank_modp` and `nullspace_modp` are the entry points.  The matrices
-this package builds are block-diagonal up to a permutation, so both
-split their input into the connected components of its row-column
-nonzero graph and reduce each component with `rref_modp`, the one
-elimination loop.
+`rank_modp` and `nullspace_modp` are the entry points.  They take an
+`Entries` matrix: coordinate lists whose values add up at a repeated
+coordinate.  The matrices this package builds are sparse and
+block-diagonal up to a permutation, so both split the entries into the
+connected components of the row-column graph, build a dense block for
+each component only, and reduce it with `rref_modp`, the one
+elimination loop.  No array of the whole matrix is allocated.
 
-Matrices are float64 arrays holding exact integers.  Reduction keeps
+Blocks are float64 arrays holding exact integers.  Reduction keeps
 signed residues in [-p/2, p/2]; scaling a pivot row by an inverse in
 [1, p) stays below p**2 / 2, and an elimination update adds at most
 p**2 / 4 to a residue.  So every intermediate stays below p**2 / 2
@@ -14,6 +16,8 @@ whatever the matrix size, which is exact in float64 (and in
 `reduce_mod`) for p < MAX_MODULUS = 2**26.  Larger moduli are refused.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,14 +86,24 @@ def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
-def _components(a: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, cols) of each connected component of the nonzeros of `a`.
+class Entries(NamedTuple):
+    """A sparse matrix as coordinate lists; values at a repeated
+    coordinate add up."""
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    Rows and columns are the nodes and every nonzero entry is an edge.
+
+def _blocks(a: Entries, p: int):
+    """(cols, block) for each connected component of the entries.
+
+    Rows and columns are the nodes and every entry is an edge.
     Union-find on whole arrays: each root is hooked to the smallest root
     it shares an edge with, then labels jump to their roots, until every
-    edge joins equal labels.  Index lists are ascending; all-zero rows
-    and columns belong to no component.  A nonzero entry that is 0 mod p
+    edge joins equal labels.  A block is dense float64 over the
+    component's rows and columns, both ascending; rows and columns
+    without entries belong to no component.  An entry that is 0 mod p
     only merges two components, which is still sound.  Moduli outside
     [2, MAX_MODULUS) are refused here, for both entry points.
     """
@@ -99,8 +113,7 @@ def _components(a: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
             "float64 elimination over F_p is exact"
         )
     m = a.shape[0]
-    u, v = np.nonzero(a)
-    v = v + m
+    u, v = a.rows, a.cols + m
     label = np.arange(m + a.shape[1])
     while True:
         lu, lv = label[u], label[v]
@@ -114,33 +127,32 @@ def _components(a: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    nodes = np.union1d(u, v)
-    order = np.argsort(label[nodes], kind="stable")
-    nodes, lab = nodes[order], label[nodes[order]]
-    groups = np.split(nodes, np.flatnonzero(lab[1:] != lab[:-1]) + 1)
-    return [(g[g < m], g[g >= m] - m) for g in groups if g.size]
+    order = np.argsort(lu, kind="stable")
+    for e in np.split(order, np.flatnonzero(np.diff(lu[order])) + 1):
+        rs, ri = np.unique(a.rows[e], return_inverse=True)
+        cs, ci = np.unique(a.cols[e], return_inverse=True)
+        block = np.zeros((rs.size, cs.size))
+        np.add.at(block, (ri, ci), a.vals[e])
+        yield cs, block
 
 
-def rank_modp(a: np.ndarray, p: int) -> int:
+def rank_modp(a: Entries, p: int) -> int:
     """Rank over F_p: the sum of the ranks of the connected components."""
-    a = np.asarray(a)
-    return sum(len(rref_modp(a[np.ix_(rs, cs)], p)[1])
-               for rs, cs in _components(a, p))
+    return sum(len(rref_modp(block, p)[1]) for _, block in _blocks(a, p))
 
 
-def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
+def nullspace_modp(a: Entries, p: int) -> np.ndarray:
     """Basis of the right kernel over F_p, returned as int64 columns.
 
     One column per non-pivot column c of the reduced row echelon form, in
     increasing c: 1 at c, minus column c of R at the pivot positions,
-    0 elsewhere.  All-zero columns of `a` give unit vectors.
+    0 elsewhere.  Columns without entries give unit vectors.
     """
-    a = np.asarray(a)
     n = a.shape[1]
     free = np.ones(n, dtype=bool)
     parts = []
-    for rs, cs in _components(a, p):
-        R, pivots = rref_modp(a[np.ix_(rs, cs)], p)
+    for cs, block in _blocks(a, p):
+        R, pivots = rref_modp(block, p)
         free[cs[pivots]] = False
         parts.append((cs, pivots, R[:len(pivots)]))
     slot = np.cumsum(free) - 1  # basis column of each free column
@@ -149,5 +161,5 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     basis[fc, slot[fc]] = 1
     for cs, pivots, R in parts:
         f = np.flatnonzero(free[cs])
-        basis[np.ix_(cs[pivots], slot[cs[f]])] = np.mod(-R[:, f], p)
+        basis[cs[pivots, None], slot[cs[f]]] = np.mod(-R[:, f], p)
     return basis

@@ -30,24 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import is_prime, nullspace_modp, rank_modp
+from .linalg import Entries, is_prime, nullspace_modp, rank_modp
 from .ring import ring_for
 from .scrolls import ScrollSpec
 from .series import betti
 
 _MAX_N = 7
 _MAX_IMAX = 5
-
-
-@dataclass(frozen=True)
-class GradedBasis:
-    """Standard monomials of one total degree, lex-descending."""
-    spec: ScrollSpec
-    degree: int
-    monomials: tuple
-
-    def __len__(self) -> int:
-        return len(self.monomials)
 
 
 @dataclass
@@ -73,17 +62,17 @@ class BettiTable:
 
 
 @lru_cache(maxsize=None)
-def graded_basis(spec: ScrollSpec, d: int) -> GradedBasis:
-    ring = ring_for(spec)
-    return GradedBasis(spec, d, tuple(ring.standard_monomials(d)))
+def graded_basis(spec: ScrollSpec, d: int) -> tuple:
+    """Standard monomials of total degree d, lex-descending."""
+    return tuple(ring_for(spec).standard_monomials(d))
 
 
 @lru_cache(maxsize=None)
 def _mult_table(spec: ScrollSpec, var: int, d: int) -> tuple[int, ...]:
     """Row index in basis d+1 of x_var * (each basis-d monomial)."""
     ring = ring_for(spec)
-    src = graded_basis(spec, d).monomials
-    dst = {m: i for i, m in enumerate(graded_basis(spec, d + 1).monomials)}
+    src = graded_basis(spec, d)
+    dst = {m: i for i, m in enumerate(graded_basis(spec, d + 1))}
     out = []
     for mono in src:
         e = list(mono)
@@ -108,24 +97,23 @@ def multiplication_map(spec: ScrollSpec, var: int, d: int, modulus: int) -> np.n
     return out
 
 
-def _degree_matrix(spec: ScrollSpec, cstack: np.ndarray, a: int, p: int) -> np.ndarray:
+def _degree_matrix(spec: ScrollSpec, cstack: np.ndarray, a: int) -> Entries:
     """Degree piece of a differential whose entries are linear forms.
 
     `cstack` has shape (G_out, n, G_in): coefficient of x_{v+1} in the
     (g, h) entry.  The returned matrix maps (h, mu in R_a) to
-    (g, normal form of x*mu in R_{a+1}); float64, reduced mod p.
+    (g, normal form of x*mu in R_{a+1}), one entry per nonzero
+    coefficient and mu.
     """
     g_out, n, g_in = cstack.shape
     rb = len(graded_basis(spec, a + 1))
     ra = len(graded_basis(spec, a))
-    out = np.zeros((g_out * rb, g_in * ra), dtype=np.float64)
-    view = out.reshape(g_out, rb, g_in, ra)
-    for v in range(n):
-        table = _mult_table(spec, v + 1, a)
-        cv = cstack[:, v, :]
-        for mu, rho in enumerate(table):
-            view[:, rho, :, mu] += cv
-    return out  # entries are small sums; consumers reduce mod p on entry
+    tables = np.array([_mult_table(spec, v + 1, a) for v in range(n)])
+    g, v, h = np.nonzero(cstack)
+    rows = g[:, None] * rb + tables[v]
+    cols = h[:, None] * ra + np.arange(ra)
+    return Entries((g_out * rb, g_in * ra), rows.ravel(), cols.ravel(),
+                   np.repeat(cstack[g, v, h], ra))
 
 
 def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
@@ -152,20 +140,20 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     # step 1: generators of the maximal ideal
     table.entries[(1, 0)] = 0  # the augmentation kernel starts in degree 1
     table.entries[(1, 1)] = n
-    cstack = np.eye(n, dtype=np.float64).reshape(1, n, n)
+    cstack = np.eye(n, dtype=np.int64).reshape(1, n, n)
     prev_nullity = {2: rdim(2), 3: rdim(3)}  # ker(d_0)_j = R_j for j >= 1
     for j in (2, 3):
-        r = rank_modp(_degree_matrix(spec, cstack, j - 1, p), p)
+        r = rank_modp(_degree_matrix(spec, cstack, j - 1), p)
         table.entries[(1, j)] = prev_nullity[j] - r
         prev_nullity[j] = len(graded_basis(spec, j - 1)) * n - r  # ker(d_1)_j
 
     g_prev = n  # generators of the current last free module
     for i in range(2, imax + 1):
         # degree i-1: columns of d_{i-1} there are the kernel basis itself
-        m_lo = _degree_matrix(spec, cstack, 0, p)
+        m_lo = _degree_matrix(spec, cstack, 0)
         table.entries[(i, i - 1)] = m_lo.shape[1] - rank_modp(m_lo, p)
         # degree i: fresh minimal generators
-        m_mid = _degree_matrix(spec, cstack, 1, p)
+        m_mid = _degree_matrix(spec, cstack, 1)
         kernel = nullspace_modp(m_mid, p)
         g_cur = kernel.shape[1]
         table.entries[(i, i)] = g_cur
@@ -174,7 +162,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
             i + 2: prev_nullity[i + 2] if i + 2 in prev_nullity else None,
         }
         if nullity_mid[i + 2] is None:
-            m = _degree_matrix(spec, cstack, 3, p)
+            m = _degree_matrix(spec, cstack, 3)
             nullity_mid[i + 2] = m.shape[1] - rank_modp(m, p)
         if g_cur == 0:
             table.entries[(i, i + 1)] = nullity_mid[i + 1]
@@ -183,13 +171,11 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
                 for jj in range(ii - 1, ii + 3):
                     table.entries[(ii, jj)] = 0
             return table
-        new_stack = np.ascontiguousarray(
-            kernel.reshape(g_prev, n, g_cur).astype(np.float64)
-        )
-        m_up = _degree_matrix(spec, new_stack, 1, p)
+        new_stack = kernel.reshape(g_prev, n, g_cur)
+        m_up = _degree_matrix(spec, new_stack, 1)
         r_up = rank_modp(m_up, p)
         table.entries[(i, i + 1)] = nullity_mid[i + 1] - r_up
-        m_up2 = _degree_matrix(spec, new_stack, 2, p)
+        m_up2 = _degree_matrix(spec, new_stack, 2)
         r_up2 = rank_modp(m_up2, p)
         table.entries[(i, i + 2)] = nullity_mid[i + 2] - r_up2
         # the next step reads ker(d_i)_{i+2}; ker(d_i)_{i+3} is done lazily

@@ -27,9 +27,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import Entries
 from .scrolls import ScrollSpec
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
+
+# (4,5) at step 7, rank 444,528, peaks near 1 GB; step 8 would be ~6x that
+MAX_FREE_RANK = 10**6
 
 
 class SparseMatrixR:
@@ -102,18 +106,17 @@ class SparseMatrixR:
         out.entries = {pos: -e for pos, e in self.entries.items()}
         return out
 
-    def eval_modp(self, values: list[int], p: int) -> np.ndarray:
-        """Dense float64 image of the matrix at x_i = values[i-1] mod p."""
-        out = np.zeros((self.rows, self.cols), dtype=np.float64)
-        cache: dict = {}
-        for (r, c), e in self.entries.items():
-            key = id(e)
-            v = cache.get(key)
-            if v is None:
-                v = e.eval_modp(values, p)
-                cache[key] = v
-            out[r, c] = v
-        return out
+    def eval_modp(self, values: list[int], p: int) -> Entries:
+        """The entries' images at x_i = values[i-1] mod p, one per entry.
+
+        Shared `Element` objects are evaluated once.
+        """
+        distinct = {id(e): e for e in self.entries.values()}
+        image = {key: e.eval_modp(values, p) for key, e in distinct.items()}
+        rows, cols = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
+        vals = [image[id(e)] for e in self.entries.values()]
+        return Entries((self.rows, self.cols), rows, cols,
+                       np.array(vals, dtype=np.float64))
 
     def to_json_obj(self) -> dict:
         return {
@@ -463,11 +466,18 @@ def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
 def field_resolution(spec: ScrollSpec, steps: int) -> Resolution:
     """Minimal free resolution of the residue field, differentials 1..steps.
 
-    Step ranks are checked against the closed-form Betti numbers.
+    Step ranks are checked against the closed-form Betti numbers.  The
+    last free module may have rank at most MAX_FREE_RANK.
     """
     _require_two_blocks(spec)
     if steps < 1:
         raise ValueError("need at least one step")
+    top = betti(spec, steps)
+    if top > MAX_FREE_RANK:
+        raise ValueError(
+            f"resource guard: the free module at step {steps} has rank {top}, "
+            "above the supported 10**6"
+        )
     mats, prov = [], []
     for i in range(1, steps + 1):
         mat, label = _cone_step(spec, i)

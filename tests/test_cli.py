@@ -72,9 +72,27 @@ def test_bad_scroll_is_usage_error(capsys):
                  ["hilbert", "--scroll", "3,3", "--terms", "-2"],
                  ["betti", "--scroll", "3,,3"],
                  ["verify", "--scroll", "3,3", "--format", "text"],
-                 ["oracle", "--scroll", "3,3", "--format", "text"]):
+                 ["oracle", "--scroll", "3,3", "--format", "text"],
+                 ["verify", "--scroll", "3,3", "--checks", ","],
+                 ["verify", "--scroll", "3,3", "--checks", "exact,exact"],
+                 ["resolve", "--scroll", "4,5", "--steps", "8"],
+                 ["verify", "--scroll", "4,5", "--steps", "8"]):
         rc, out = run(capsys, argv)
         assert (rc, out) == (2, ""), argv
+
+
+def test_memory_error_is_usage_error(capsys, monkeypatch):
+    import scrollres.cli as cli
+
+    for exc in (MemoryError(), MemoryError("Unable to allocate 2.75 GiB")):
+        def boom(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_resolve", boom)
+        assert main(["resolve", "--scroll", "3,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_modulus_beyond_exact_range_is_usage_error(capsys):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from scrollres.linalg import (MAX_MODULUS, is_prime, nullspace_modp, rank_modp,
-                              reduce_mod, rref_modp)
+from scrollres.linalg import (MAX_MODULUS, Entries, _blocks, is_prime,
+                              nullspace_modp, rank_modp, reduce_mod, rref_modp)
+
+
+def entries(mat):
+    """The nonzero entries of a dense matrix."""
+    mat = np.asarray(mat)
+    rows, cols = np.nonzero(mat)
+    return Entries(mat.shape, rows, cols, mat[rows, cols])
 
 
 def reference_rank(rows, p):
@@ -48,7 +55,7 @@ def test_rank_random_matrices_match_reference():
                 mat = (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
             else:
                 mat = np.zeros((m, n), dtype=int)
-            assert rank_modp(mat, p) == reference_rank(mat.tolist(), p)
+            assert rank_modp(entries(mat), p) == reference_rank(mat.tolist(), p)
 
 
 def permuted_block_diagonal(rng, p):
@@ -78,12 +85,57 @@ def test_component_split_rank_and_nullspace():
         for _ in range(40):
             mat = permuted_block_diagonal(rng, p)
             rank = reference_rank(mat.tolist(), p)
-            assert rank_modp(mat, p) == rank
-            basis = nullspace_modp(mat, p)
+            assert rank_modp(entries(mat), p) == rank
+            basis = nullspace_modp(entries(mat), p)
             assert basis.shape == (mat.shape[1], mat.shape[1] - rank)
             if basis.size:
                 assert not (mat @ basis % p).any()
-                assert rank_modp(basis, p) == basis.shape[1]
+                assert rank_modp(entries(basis), p) == basis.shape[1]
+
+
+def test_repeated_coordinates_add_up():
+    rng = np.random.default_rng(11)
+    for p in (3, 101, 32003):
+        for _ in range(20):
+            mat = permuted_block_diagonal(rng, p)
+            rows, cols = np.nonzero(mat)
+            # every entry split into three parts, some of them 0 mod p,
+            # and zero-sum pairs at fresh coordinates
+            parts = rng.integers(0, 2 * p, size=(2, rows.size))
+            vals = np.concatenate([parts[0], parts[1], mat[rows, cols] - parts.sum(0)])
+            r, c = np.tile(rows, 3), np.tile(cols, 3)
+            if mat.size:
+                zr = rng.integers(0, mat.shape[0], size=4)
+                zc = rng.integers(0, mat.shape[1], size=4)
+                zv = rng.integers(1, p, size=4)
+                r = np.concatenate([r, zr, zr])
+                c = np.concatenate([c, zc, zc])
+                vals = np.concatenate([vals, zv, p - zv])
+            order = rng.permutation(r.size)
+            a = Entries(mat.shape, r[order], c[order], vals[order])
+            assert rank_modp(a, p) == rank_modp(entries(mat), p)
+            assert np.array_equal(nullspace_modp(a, p),
+                                  nullspace_modp(entries(mat), p))
+
+
+def test_entry_equal_to_p_links_row_and_column():
+    p = 101
+    a = Entries((2, 3), np.array([0, 0, 1]), np.array([0, 1, 1]),
+                np.array([1.0, p, 1.0]))
+    (cs, block), = _blocks(a, p)
+    assert cs.tolist() == [0, 1]
+    assert block.tolist() == [[1, p], [0, 1]]
+    assert rank_modp(a, p) == 2
+    assert nullspace_modp(a, p).tolist() == [[0], [0], [1]]
+
+
+def test_no_entries_rank_zero_kernel_identity():
+    none = np.zeros(0, dtype=np.intp)
+    for shape in ((0, 4), (3, 4), (3, 0)):
+        a = Entries(shape, none, none, np.zeros(0))
+        assert rank_modp(a, 101) == 0
+        assert np.array_equal(nullspace_modp(a, 101),
+                              np.eye(shape[1], dtype=np.int64))
 
 
 def test_modulus_bound_is_enforced():
@@ -92,22 +144,22 @@ def test_modulus_bound_is_enforced():
     mat = rng.integers(0, big, size=(60, 90))
     for f in (rank_modp, nullspace_modp):
         with pytest.raises(ValueError, match=r"2\*\*26"):
-            f(mat, big)
+            f(entries(mat), big)
         with pytest.raises(ValueError, match=r"2\*\*26"):
-            f(np.zeros((2, 2)), big)
+            f(entries(np.zeros((2, 2))), big)
     p = 67108859  # largest prime below the bound
     assert is_prime(p) and p < MAX_MODULUS
     mat = (rng.integers(0, p, size=(60, 30)) @ rng.integers(0, p, size=(30, 90))) % p
-    assert rank_modp(mat, p) == reference_rank(mat.tolist(), p) == 30
+    assert rank_modp(entries(mat), p) == reference_rank(mat.tolist(), p) == 30
 
 
 def test_rank_edge_shapes():
     p = 101
-    assert rank_modp(np.zeros((0, 5)), p) == 0
-    assert rank_modp(np.zeros((5, 0)), p) == 0
-    assert rank_modp(np.zeros((4, 4)), p) == 0
-    assert rank_modp(np.eye(7), p) == 7
-    assert rank_modp(np.full((3, 3), p, dtype=float), p) == 0
+    assert rank_modp(entries(np.zeros((0, 5))), p) == 0
+    assert rank_modp(entries(np.zeros((5, 0))), p) == 0
+    assert rank_modp(entries(np.zeros((4, 4))), p) == 0
+    assert rank_modp(entries(np.eye(7)), p) == 7
+    assert rank_modp(entries(np.full((3, 3), p, dtype=float)), p) == 0
 
 
 def test_nullspace_properties():
@@ -120,16 +172,16 @@ def test_nullspace_properties():
             mat = (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
         else:
             mat = np.zeros((m, n), dtype=int)
-        basis = nullspace_modp(mat, p)
+        basis = nullspace_modp(entries(mat), p)
         assert basis.shape == (n, n - reference_rank(mat.tolist(), p))
         if basis.size:
             assert int((mat @ basis % p).max()) == 0
             # basis columns are independent
-            assert rank_modp(basis, p) == basis.shape[1]
+            assert rank_modp(entries(basis), p) == basis.shape[1]
 
 
 def test_nullspace_zero_rows():
-    basis = nullspace_modp(np.zeros((0, 4)), 101)
+    basis = nullspace_modp(entries(np.zeros((0, 4))), 101)
     assert basis.shape == (4, 4)
     assert np.array_equal(basis, np.eye(4, dtype=np.int64))
 

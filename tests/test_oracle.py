@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from scrollres.oracle import (BettiTable, betti_oracle, compare_with_formula,
-                              graded_basis, multiplication_map)
+from scrollres.oracle import (BettiTable, _degree_matrix, betti_oracle,
+                              compare_with_formula, graded_basis,
+                              multiplication_map)
 from scrollres.ring import adegree
 from scrollres.scrolls import build_scroll, toric_matrix
 from scrollres.series import betti, hilbert_coefficients
@@ -19,7 +20,7 @@ def test_graded_basis_sizes_and_order():
         for d in range(5):
             basis = graded_basis(s, d)
             assert len(basis) == coeffs[d]
-            assert list(basis.monomials) == sorted(basis.monomials, reverse=True)
+            assert list(basis) == sorted(basis, reverse=True)
 
 
 def test_multiplication_map_columns_are_unit_vectors():
@@ -27,8 +28,8 @@ def test_multiplication_map_columns_are_unit_vectors():
     assert m.shape == (15, 6)
     assert np.all(m.sum(axis=0) == 1)
     # x1 * x3 lands on x2^2
-    b1 = list(graded_basis(S33, 1).monomials)
-    b2 = list(graded_basis(S33, 2).monomials)
+    b1 = list(graded_basis(S33, 1))
+    b2 = list(graded_basis(S33, 2))
     col = b1.index((0, 0, 1, 0, 0, 0))
     row = b2.index((0, 2, 0, 0, 0, 0))
     assert m[row, col] == 1
@@ -36,15 +37,15 @@ def test_multiplication_map_columns_are_unit_vectors():
 
 def test_multiplication_map_degree_zero():
     m = multiplication_map(S33, 4, 0, 101)
-    b1 = list(graded_basis(S33, 1).monomials)
+    b1 = list(graded_basis(S33, 1))
     assert m.shape == (6, 1)
     assert m[b1.index((0, 0, 0, 1, 0, 0)), 0] == 1
 
 
 def test_multiplication_map_respects_grading():
     a = toric_matrix(S33)
-    b1 = graded_basis(S33, 1).monomials
-    b2 = graded_basis(S33, 2).monomials
+    b1 = graded_basis(S33, 1)
+    b2 = graded_basis(S33, 2)
     for var in range(1, 7):
         m = multiplication_map(S33, var, 1, 101)
         col_of_a = tuple(row[var - 1] for row in a)
@@ -62,6 +63,22 @@ def test_multiplication_map_validation():
         multiplication_map(S33, 1, -1, 101)
     with pytest.raises(ValueError):
         multiplication_map(S33, 1, 1, 100)
+
+
+def test_degree_matrix_is_sum_of_kronecker_products():
+    rng = np.random.default_rng(2)
+    p = 101
+    for spec in (S33, build_scroll([2, 2, 2])):
+        n = spec.n
+        cstack = rng.integers(0, p, size=(3, n, 4)) * (rng.random((3, n, 4)) < 0.5)
+        for a in range(4):
+            m = _degree_matrix(spec, cstack, a)
+            assert m.vals.size == np.count_nonzero(cstack) * len(graded_basis(spec, a))
+            dense = np.zeros(m.shape, dtype=np.int64)
+            np.add.at(dense, (m.rows, m.cols), m.vals)
+            want = sum(np.kron(cstack[:, v, :], multiplication_map(spec, v + 1, a, p))
+                       for v in range(n))
+            assert np.array_equal(dense, want)
 
 
 def test_oracle_3_3():

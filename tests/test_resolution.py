@@ -1,7 +1,10 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
+from scrollres.checks import scroll_point
 from scrollres.ring import ring_for
 from scrollres.resolution import (Resolution, SparseMatrixR, alpha, direct_sum,
                                   field_resolution, phi, phi0, phi1, phi2,
@@ -378,6 +381,26 @@ def test_matrix_invariants_and_json():
     assert obj["steps"][0]["entries"][0] == [0, 0, "x1"]
     lines = step.to_text_lines()
     assert lines[0].split() == ["0", "0", "x2"]
+
+
+def test_eval_modp_one_value_per_entry():
+    p = 32003
+    for step in field_resolution(S43, 5).steps:
+        vals = scroll_point(S43, random.Random(step.cols), p)
+        a = step.eval_modp(vals, p)
+        assert a.shape == (step.rows, step.cols)
+        assert a.rows.size == a.cols.size == a.vals.size == len(step.entries)
+        dense = np.zeros(a.shape)
+        np.add.at(dense, (a.rows, a.cols), a.vals)
+        want = np.zeros(a.shape)
+        for (r, c), e in step.entries.items():
+            want[r, c] = e.eval_modp(vals, p)
+        assert np.array_equal(dense, want)
+
+
+def test_field_resolution_size_guard():
+    with pytest.raises(ValueError, match="10\\*\\*6"):
+        field_resolution(build_scroll([4, 5]), 8)
 
 
 def test_resolution_rejects_bad_chain():
