@@ -23,7 +23,9 @@ block pair exercised by the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, wraps
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,7 +42,9 @@ class SparseMatrixR:
     """A matrix over the scroll ring stored as {(row, col): Element}.
 
     Indices are 0-based.  Zero elements are never stored; duplicate
-    positions are rejected at construction.
+    positions are rejected at construction.  The cached constructors
+    (`phi0`, `phi1`, `phi2`, `phi`, `alpha`) hand out read-only entries;
+    `copy()` gives a writable matrix.
     """
 
     __slots__ = ("ring", "rows", "cols", "entries")
@@ -77,33 +81,84 @@ class SparseMatrixR:
             and self.entries == other.entries
         )
 
+    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index arrays, one per stored entry."""
+        return np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
+
     def __matmul__(self, other: "SparseMatrixR") -> "SparseMatrixR":
+        """The exact product; each distinct pair of entry values is multiplied once.
+
+        Entries get value ids, a join on the inner index lists every
+        contribution (row, col, left value, right value), and the normal
+        form of each distinct value pair is expanded into its terms and
+        summed per (row, col, monomial).  The sums run over an object
+        array, so int and Fraction coefficients stay exact, and need no
+        second normal form: normal form is linear on standard monomials.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: dict[int, list] = {}
-        for (k, c), e in other.entries.items():
-            by_row.setdefault(k, []).append((c, e))
+        value_ids: dict[frozenset, int] = {}
+        values: list[Element] = []
+
+        def intern(e: Element) -> int:
+            key = frozenset(e.terms.items())
+            if key not in value_ids:
+                value_ids[key] = len(values)
+                values.append(e)
+            return value_ids[key]
+
+        a_row, a_mid = self._coords()
+        a_val = _per_object(list(self.entries.values()), intern, np.intp)
+        b_mid, b_col = other._coords()
+        b_val = _per_object(list(other.entries.values()), intern, np.intp)
+        by_mid = np.argsort(b_mid, kind="stable")
+        b_mid, b_col, b_val = b_mid[by_mid], b_col[by_mid], b_val[by_mid]
+        lo = np.searchsorted(b_mid, a_mid, side="left")
+        width = np.searchsorted(b_mid, a_mid, side="right") - lo
+        left = np.repeat(np.arange(a_mid.size), width)
+        right = _ranges(lo, width)
+        pairs, pair_of = np.unique(a_val[left] * len(values) + b_val[right],
+                                   return_inverse=True)
+
+        monomials: dict[tuple, int] = {}
+        term_mono, term_coeff = [], []
+        term_start = np.zeros(pairs.size + 1, dtype=np.intp)
+        for j, pair in enumerate(pairs.tolist()):
+            prod = values[pair // len(values)] * values[pair % len(values)]
+            for mono, c in prod.terms.items():
+                term_mono.append(monomials.setdefault(mono, len(monomials)))
+                term_coeff.append(c)
+            term_start[j + 1] = len(term_mono)
+
+        n_terms = np.diff(term_start)[pair_of]
+        term = _ranges(term_start[:-1][pair_of], n_terms)
+        rows = np.repeat(a_row[left], n_terms)
+        cols = np.repeat(b_col[right], n_terms)
+        mono = np.array(term_mono, dtype=np.intp)[term]
+        coeff = np.array(term_coeff, dtype=object)[term]
+        order = np.lexsort((mono, cols, rows))
+        rows, cols, mono, coeff = rows[order], cols[order], mono[order], coeff[order]
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]) | (mono[1:] != mono[:-1])
+        first = np.flatnonzero(new)
+        sums = np.add.reduceat(coeff, first)
+        nonzero = np.flatnonzero(sums != 0)
+
+        by_mono = list(monomials)
         raw: dict[tuple[int, int], dict] = {}
-        for (r, k), ea in self.entries.items():
-            right = by_row.get(k)
-            if not right:
-                continue
-            for c, eb in right:
-                acc = raw.setdefault((r, c), {})
-                for ma, ca in ea.terms.items():
-                    for mb, cb in eb.terms.items():
-                        mono = tuple(x + y for x, y in zip(ma, mb))
-                        acc[mono] = acc.get(mono, 0) + ca * cb
+        for r, c, m, total in zip(rows[first[nonzero]].tolist(), cols[first[nonzero]].tolist(),
+                                  mono[first[nonzero]].tolist(), sums[nonzero]):
+            if isinstance(total, Fraction) and total.denominator == 1:
+                total = int(total)
+            raw.setdefault((r, c), {})[by_mono[m]] = total
         out = SparseMatrixR(self.ring, self.rows, other.cols)
-        for pos, terms in raw.items():
-            e = self.ring.element(terms)
-            if not e.is_zero():
-                out.entries[pos] = e
+        out.entries = {pos: Element(self.ring, terms, None) for pos, terms in raw.items()}
         return out
 
     def __neg__(self) -> "SparseMatrixR":
         out = SparseMatrixR(self.ring, self.rows, self.cols)
-        out.entries = {pos: -e for pos, e in self.entries.items()}
+        out.entries = dict(zip(self.entries,
+                               _per_object(list(self.entries.values()), _negated, object)))
         return out
 
     def eval_modp(self, values: list[int], p: int) -> Entries:
@@ -111,27 +166,62 @@ class SparseMatrixR:
 
         Shared `Element` objects are evaluated once.
         """
-        distinct = {id(e): e for e in self.entries.values()}
-        image = {key: e.eval_modp(values, p) for key, e in distinct.items()}
-        rows, cols = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
-        vals = [image[id(e)] for e in self.entries.values()]
-        return Entries((self.rows, self.cols), rows, cols,
-                       np.array(vals, dtype=np.float64))
+        rows, cols = self._coords()
+        vals = _per_object(list(self.entries.values()),
+                           lambda e: e.eval_modp(values, p), np.float64)
+        return Entries((self.rows, self.cols), rows, cols, vals)
+
+    def _formatted(self) -> list[tuple[int, int, str]]:
+        """(row, col, entry string) in position order; shared Elements are formatted once."""
+        items = self.items_sorted()
+        texts = _per_object([e for _, e in items], str, object)
+        return [(r, c, t) for ((r, c), _), t in zip(items, texts)]
 
     def to_json_obj(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[r, c, str(e)] for (r, c), e in self.items_sorted()],
+            "entries": [[r, c, t] for r, c, t in self._formatted()],
         }
 
     def to_text_lines(self) -> list[str]:
-        return [f"{r} {c} {e}" for (r, c), e in self.items_sorted()]
+        return [f"{r} {c} {t}" for r, c, t in self._formatted()]
 
     def copy(self) -> "SparseMatrixR":
         out = SparseMatrixR(self.ring, self.rows, self.cols)
         out.entries = dict(self.entries)
         return out
+
+
+def _per_object(elements: list, fn, dtype) -> np.ndarray:
+    """fn(e) for each element as an array, calling fn once per distinct object."""
+    ids = np.fromiter(map(id, elements), dtype=np.uintp, count=len(elements))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return np.array([fn(elements[i]) for i in first.tolist()], dtype=dtype)[inverse]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(counts.sum()) + np.repeat(starts - (ends - counts), counts)
+
+
+@lru_cache(maxsize=None)
+def _negated(e: Element) -> Element:
+    """-e, one object per distinct value, so negated entries share it."""
+    return -e
+
+
+def _shared(build):
+    """Cache a matrix constructor; the matrix it hands out is read-only."""
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def cached(*args):
+        out = build(*args)
+        if type(out.entries) is dict:
+            out.entries = MappingProxyType(out.entries)
+        return out
+    return cached
 
 
 def direct_sum(mats: list[SparseMatrixR]) -> SparseMatrixR:
@@ -165,7 +255,7 @@ def _phi0_columns(spec: ScrollSpec) -> list[tuple[int, int]]:
     return cols
 
 
-@lru_cache(maxsize=None)
+@_shared
 def phi0(spec: ScrollSpec) -> SparseMatrixR:
     """2 x (n-2): second row of the scroll matrix over minus its first."""
     _require_two_blocks(spec)
@@ -201,7 +291,7 @@ def staircase(spec: ScrollSpec, d: int) -> SparseMatrixR:
     return _staircase(spec, d)
 
 
-@lru_cache(maxsize=None)
+@_shared
 def phi1(spec: ScrollSpec) -> SparseMatrixR:
     """(n-2) x (n-2)(n-3) in three column bands.
 
@@ -263,7 +353,7 @@ def v_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
     return out
 
 
-@lru_cache(maxsize=None)
+@_shared
 def phi2(spec: ScrollSpec) -> SparseMatrixR:
     """(n-2)(n-3) x (n-2)(n-3)^2 in three row bands.
 
@@ -291,9 +381,8 @@ def phi2(spec: ScrollSpec) -> SparseMatrixR:
             out.entries[(r, mid_c0 + b * w + c)] = e
     # middle band
     mid_r0 = (m - 2) * w
-    st = _staircase(spec, n - 2)
-    for (r, c), e in st.entries.items():
-        out.entries[(mid_r0 + r, mid_c0 + c)] = -e
+    for (r, c), e in (-_staircase(spec, n - 2)).entries.items():
+        out.entries[(mid_r0 + r, mid_c0 + c)] = e
     # bottom band
     bot_r0 = (m - 1) * w
     right_c0 = (m - 1) * w * (n - 3)
@@ -306,7 +395,7 @@ def phi2(spec: ScrollSpec) -> SparseMatrixR:
     return out
 
 
-@lru_cache(maxsize=None)
+@_shared
 def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
     """phi_i; for i >= 3 the direct sum phi_{i-1}^(m-2) + phi_{i-2}^(n-3) + phi_{i-1}^(p-2)."""
     _require_two_blocks(spec)
@@ -324,7 +413,7 @@ def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
     return direct_sum(parts)
 
 
-@lru_cache(maxsize=None)
+@_shared
 def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
     """Chain map lifting the inclusion of J into I1 (+) I2.
 
@@ -458,8 +547,8 @@ def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
     out.entries.update(g.entries)
     for (r, c), e in a.entries.items():
         out.entries[(r, g.cols + c)] = e
-    for (r, c), e in j.entries.items():
-        out.entries[(g.rows + r, g.cols + c)] = -e
+    for (r, c), e in (-j).entries.items():
+        out.entries[(g.rows + r, g.cols + c)] = e
     return out, f"[{l1} + {l2} | alpha{i - 2}; 0 | -{lj}]"
 
 

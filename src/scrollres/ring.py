@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .scrolls import (Monomial, ScrollSpec, format_monomial, minor_generators,
                       toric_matrix)
@@ -242,13 +243,17 @@ def _compositions(total: int, parts: int):
 
 
 class Element:
-    """A ring element stored in normal form: standard monomials -> coeffs."""
+    """A ring element stored in normal form: standard monomials -> coeffs.
+
+    `terms` is a read-only view, because cached matrices and `var_elem`
+    hand the same Element to every caller.
+    """
 
     __slots__ = ("ring", "terms", "modulus")
 
     def __init__(self, ring: ScrollRing, terms: dict, modulus: int | None):
         self.ring = ring
-        self.terms = terms
+        self.terms = MappingProxyType(terms)
         self.modulus = modulus
 
     def _check(self, other: "Element") -> None:

@@ -1,10 +1,12 @@
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scrollres.checks import scroll_point
+from scrollres.checks import (FAULT_KINDS, check_complex, inject_fault,
+                              scroll_point)
 from scrollres.ring import ring_for
 from scrollres.resolution import (Resolution, SparseMatrixR, alpha, direct_sum,
                                   field_resolution, phi, phi0, phi1, phi2,
@@ -16,6 +18,7 @@ S22 = build_scroll([2, 2])
 S33 = build_scroll([3, 3])
 S43 = build_scroll([4, 3])
 S44 = build_scroll([4, 4])
+S34 = build_scroll([3, 4])
 
 
 def mat_from(spec, rows, cols, entries):
@@ -420,3 +423,158 @@ def test_constructors_reject_other_block_counts():
         field_resolution(s, 2)
     with pytest.raises(ValueError):
         resolution_of(s, "J", 1)
+
+
+def reference_matmul(a, b):
+    """The product by the triple loop: every entry pair, every term pair."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    by_row = {}
+    for (k, c), e in b.entries.items():
+        by_row.setdefault(k, []).append((c, e))
+    raw = {}
+    for (r, k), ea in a.entries.items():
+        for c, eb in by_row.get(k, []):
+            acc = raw.setdefault((r, c), {})
+            for ma, ca in ea.terms.items():
+                for mb, cb in eb.terms.items():
+                    mono = tuple(x + y for x, y in zip(ma, mb))
+                    acc[mono] = acc.get(mono, 0) + ca * cb
+    out = SparseMatrixR(a.ring, a.rows, b.cols)
+    for pos, terms in raw.items():
+        e = a.ring.element(terms)
+        if not e.is_zero():
+            out.entries[pos] = e
+    return out
+
+
+def exact_form(mat):
+    """Entries with each coefficient's type, so 1 and Fraction(1) differ."""
+    return {pos: {m: (type(c), c) for m, c in e.terms.items()}
+            for pos, e in mat.entries.items()}
+
+
+def assert_product_matches_reference(a, b):
+    got = a @ b
+    want = reference_matmul(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got == want
+    assert exact_form(got) == exact_form(want)
+    return got
+
+
+def random_element(ring, rng, coeffs):
+    raw = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * ring.n
+        for _ in range(rng.randint(0, 2)):
+            mono[rng.randrange(ring.n)] += 1
+        raw[tuple(mono)] = rng.choice(coeffs)
+    return ring.element(raw)
+
+
+def random_matrix(ring, rng, rows, cols, pool, density):
+    out = SparseMatrixR(ring, rows, cols)
+    for r in range(rows):
+        for c in range(cols):
+            if rng.random() < density:
+                out.set(r, c, rng.choice(pool))
+    return out
+
+
+@pytest.mark.parametrize("coeffs", [(-2, -1, 1, 2, 3),
+                                    (Fraction(1, 2), Fraction(-1, 2), 1,
+                                     Fraction(3, 4), Fraction(-1, 4))])
+def test_matmul_random_matrices_match_reference(coeffs):
+    ring = ring_for(S34)
+    rng = random.Random(len(coeffs))
+    nonzero = 0
+    for trial in range(60):
+        # a small value pool, so products repeat and sums can cancel
+        pool = [random_element(ring, rng, coeffs) for _ in range(rng.randint(1, 6))]
+        pool += [-e for e in pool]
+        rows, mid, cols = rng.randint(0, 5), rng.randint(0, 6), rng.randint(0, 5)
+        density = rng.choice([0.0, 0.3, 0.7])
+        a = random_matrix(ring, rng, rows, mid, pool, density)
+        b = random_matrix(ring, rng, mid, cols, pool, density)
+        nonzero += bool(assert_product_matches_reference(a, b).entries)
+    assert nonzero > 10
+
+
+def test_matmul_sums_cancel_after_normal_form():
+    ring = ring_for(S34)
+    x = [None] + [ring.var_elem(i) for i in range(1, 8)]
+    half = ring.element({(0,) * 7: Fraction(1, 2)})
+    # x1*x5 = x2*x4 in the ring, so column 0 cancels only after normal
+    # form; column 1 cancels as monomials; column 2 is half + half = 1
+    a = SparseMatrixR(ring, 1, 2, {(0, 0): x[1], (0, 1): x[2]})
+    b = SparseMatrixR(ring, 2, 3, {(0, 0): x[5], (1, 0): -x[4],
+                                   (0, 1): x[2], (1, 1): -x[1],
+                                   (0, 2): half * x[5], (1, 2): half * x[4]})
+    prod = assert_product_matches_reference(a, b)
+    assert list(prod.entries) == [(0, 2)]
+    (mono, coeff), = prod.get(0, 2).terms.items()
+    assert type(coeff) is int and coeff == 1
+    empty = SparseMatrixR(ring, 3, 0)
+    assert_product_matches_reference(empty, SparseMatrixR(ring, 0, 4))
+    assert_product_matches_reference(a, SparseMatrixR(ring, 2, 5))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a @ a
+
+
+def reference_first_residual(res):
+    for i, (a, b) in enumerate(zip(res.steps, res.steps[1:])):
+        prod = reference_matmul(a, b)
+        if prod.entries:
+            (r, c), e = min(prod.items_sorted())
+            return {"pair": (i, i + 1), "row": r, "col": c, "residual": str(e)}
+    return None
+
+
+@pytest.mark.parametrize("blocks", [(3, 3), (4, 3), (2, 5)])
+def test_matmul_on_fault_injected_steps_matches_reference(blocks):
+    spec = build_scroll(blocks)
+    res = field_resolution(spec, 4)
+    for step in (2, 3, 4):
+        for kind in FAULT_KINDS:
+            bad = inject_fault(res, kind, step)
+            for a, b in zip(bad.steps, bad.steps[1:]):
+                assert_product_matches_reference(a, b)
+            report = check_complex(bad)
+            want = reference_first_residual(bad)
+            if want is None:
+                assert report.ok
+            else:
+                assert not report.ok and report.details == want
+
+
+def test_alpha_products_match_reference():
+    for i in (0, 1, 2):
+        rj = resolution_of(S43, "J", i + 1)
+        assert assert_product_matches_reference(alpha(S43, i), rj.steps[i + 1]).entries
+
+
+def test_cached_objects_are_read_only():
+    entry = next(iter(phi(S33, 1).entries.values()))
+    mono = next(iter(entry.terms))
+    with pytest.raises(TypeError):
+        entry.terms[mono] = 5
+    with pytest.raises(TypeError):
+        del entry.terms[mono]
+    with pytest.raises(AttributeError):
+        entry.terms.clear()
+    for mat in (phi0(S33), phi1(S33), phi2(S33), phi(S33, 3), alpha(S33, 1)):
+        with pytest.raises(TypeError):
+            mat.entries[(0, 0)] = entry
+    copied = phi(S33, 1).copy()
+    copied.entries.clear()
+    assert phi(S33, 1).entries
+    assert check_complex(field_resolution(S33, 4)).ok
+
+
+def test_negated_entries_share_objects():
+    res = field_resolution(build_scroll([4, 5]), 6)
+    objects = {id(e) for step in res.steps for e in step.entries.values()}
+    values = {e for step in res.steps for e in step.entries.values()}
+    assert len(values) == 18
+    assert len(objects) <= 2 * len(values)
