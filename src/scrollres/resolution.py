@@ -12,7 +12,9 @@ Everything here is specific to k = 2.  Writing m, p for the block sizes
 The free resolutions of the ideals I1 = (x_1..x_m), I2 = (x_{m+1}..x_n)
 and J = I1 n I2 are assembled from these, and the resolution of the
 residue field is the mapping cone of the chain map alpha that lifts the
-inclusion J -> I1 (+) I2, shifted by the augmentation.
+inclusion J -> I1 (+) I2, shifted by the augmentation.  Every matrix
+that is made of blocks is assembled once, by `_assemble`, from a list of
+(row offset, column offset, block) pieces.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -224,20 +226,45 @@ def _shared(build):
     return cached
 
 
+def _assemble(ring: ScrollRing, rows: int, cols: int, pieces) -> SparseMatrixR:
+    """A rows x cols matrix from (row offset, col offset, matrix) pieces.
+
+    Each entry of each piece is copied once; pieces must not overlap.
+    """
+    out = SparseMatrixR(ring, rows, cols)
+    entries = out.entries
+    for r0, c0, mat in pieces:
+        for (r, c), e in mat.entries.items():
+            entries[(r0 + r, c0 + c)] = e
+    return out
+
+
+def _diagonal(mats, r0: int = 0, c0: int = 0):
+    """(row offset, col offset, matrix) for mats laid corner to corner from (r0, c0)."""
+    for mat in mats:
+        yield r0, c0, mat
+        r0 += mat.rows
+        c0 += mat.cols
+
+
+def _stairs(block: SparseMatrixR, d: int, r0: int = 0, c0: int = 0) -> list:
+    """Pieces of a d-row staircase: d-1 copies of a 2-row block, each one row down."""
+    return [(r0 + b, c0 + b * block.cols, block) for b in range(d - 1)]
+
+
+def _row(ring: ScrollRing, elems: list[Element]) -> SparseMatrixR:
+    """The 1 x len(elems) matrix of the given entries."""
+    out = SparseMatrixR(ring, 1, len(elems))
+    out.entries = {(0, c): e for c, e in enumerate(elems)}
+    return out
+
+
 def direct_sum(mats: list[SparseMatrixR]) -> SparseMatrixR:
+    """The block-diagonal matrix of mats, first one top left; mats must be non-empty."""
     if not mats:
         raise ValueError("direct sum of nothing")
-    ring = mats[0].ring
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = SparseMatrixR(ring, rows, cols)
-    r0 = c0 = 0
-    for m in mats:
-        for (r, c), e in m.entries.items():
-            out.entries[(r0 + r, c0 + c)] = e
-        r0 += m.rows
-        c0 += m.cols
-    return out
+    return _assemble(mats[0].ring, sum(m.rows for m in mats), sum(m.cols for m in mats),
+                     _diagonal(mats))
 
 
 def _require_two_blocks(spec: ScrollSpec) -> None:
@@ -267,28 +294,12 @@ def phi0(spec: ScrollSpec) -> SparseMatrixR:
     return out
 
 
-def _staircase(spec: ScrollSpec, d: int) -> SparseMatrixR:
-    """d x (d-1)(n-2): phi0 block b in rows b-1, b, columns (b-1)(n-2)..
-
-    Allows d = 1 (a single zero-column row), which appears inside phi1
-    when a block has size 2.
-    """
-    ring = ring_for(spec)
-    w = spec.n - 2
-    out = SparseMatrixR(ring, d, (d - 1) * w)
-    base = phi0(spec)
-    for b in range(d - 1):
-        for (r, c), e in base.entries.items():
-            out.entries[(b + r, b * w + c)] = e
-    return out
-
-
 def staircase(spec: ScrollSpec, d: int) -> SparseMatrixR:
-    """Public staircase constructor; the overlap pattern needs d >= 2."""
+    """d x (d-1)(n-2): phi0 block b in rows b, b+1, columns b(n-2)..; needs d >= 2."""
     _require_two_blocks(spec)
     if d < 2:
         raise ValueError("staircase needs at least two rows")
-    return _staircase(spec, d)
+    return _assemble(ring_for(spec), d, (d - 1) * (spec.n - 2), _stairs(phi0(spec), d))
 
 
 @_shared
@@ -304,10 +315,9 @@ def phi1(spec: ScrollSpec) -> SparseMatrixR:
     ring = ring_for(spec)
     m, p, n = spec.m, spec.p, spec.n
     w = n - 2
-    out = SparseMatrixR(ring, w, w * (n - 3))
-    left = _staircase(spec, m - 1)
-    for (r, c), e in left.entries.items():
-        out.entries[(r, c)] = e
+    f0 = phi0(spec)
+    out = _assemble(ring, w, w * (n - 3),
+                    _stairs(f0, m - 1) + _stairs(f0, p - 1, m - 1, (m - 1) * w))
     mid0 = (m - 2) * w
     for r in range(m - 1):
         out.entries[(r, mid0 + r)] = ring.var_elem(m + 1, 1)
@@ -317,9 +327,6 @@ def phi1(spec: ScrollSpec) -> SparseMatrixR:
         out.entries[(m - 1, mid0 + c - 1)] = ring.var_elem(c, -1)
     for r in range(1, p):
         out.entries[(m - 2 + r, mid0 + m - 2 + r)] = ring.var_elem(m, -1)
-    right = _staircase(spec, p - 1)
-    for (r, c), e in right.entries.items():
-        out.entries[(m - 1 + r, (m - 1) * w + c)] = e
     return out
 
 
@@ -364,35 +371,19 @@ def phi2(spec: ScrollSpec) -> SparseMatrixR:
     p-2 diagonal copies of phi1 over the right columns.
     """
     _require_two_blocks(spec)
-    ring = ring_for(spec)
     m, p, n = spec.m, spec.p, spec.n
     w = n - 2
-    rows = w * (n - 3)
-    cols = w * (n - 3) ** 2
-    out = SparseMatrixR(ring, rows, cols)
     f1 = phi1(spec)
     mid_c0 = (m - 2) * w * (n - 3)          # first central column
-    # top band
-    for b in range(m - 2):
-        for (r, c), e in f1.entries.items():
-            out.entries[(b * w + r, b * w * (n - 3) + c)] = e
-        ub = u_block(spec, b)
-        for (r, c), e in ub.entries.items():
-            out.entries[(r, mid_c0 + b * w + c)] = e
-    # middle band
-    mid_r0 = (m - 2) * w
-    for (r, c), e in (-_staircase(spec, n - 2)).entries.items():
-        out.entries[(mid_r0 + r, mid_c0 + c)] = e
-    # bottom band
     bot_r0 = (m - 1) * w
-    right_c0 = (m - 1) * w * (n - 3)
-    for b in range(p - 2):
-        vb = v_block(spec, b)
-        for (r, c), e in vb.entries.items():
-            out.entries[(bot_r0 + r, mid_c0 + (m - 1 + b) * w + c)] = e
-        for (r, c), e in f1.entries.items():
-            out.entries[(bot_r0 + b * w + r, right_c0 + b * w * (n - 3) + c)] = e
-    return out
+    pieces = [
+        *_diagonal([f1] * (m - 2)),
+        *((0, mid_c0 + b * w, u_block(spec, b)) for b in range(m - 2)),
+        *_stairs(-phi0(spec), n - 2, (m - 2) * w, mid_c0),
+        *((bot_r0, mid_c0 + (m - 1 + b) * w, v_block(spec, b)) for b in range(p - 2)),
+        *_diagonal([f1] * (p - 2), bot_r0, (m - 1) * w * (n - 3)),
+    ]
+    return _assemble(ring_for(spec), w * (n - 3), w * (n - 3) ** 2, pieces)
 
 
 @_shared
@@ -474,39 +465,31 @@ class Resolution:
         }
 
 
-def _ideal_step(spec: ScrollSpec, target: str, i: int) -> tuple[SparseMatrixR, str]:
+def _ideal_step(spec: ScrollSpec, target: str, i: int) -> tuple[SparseMatrixR, int, str]:
+    """Differential i of the resolution of J, I1 or I2 as (block, copies, label).
+
+    The differential is `copies` copies of `block` down the diagonal.
+    With size the number of generators (n-1 for J, m for I1, p for I2),
+    step 0 is the generator row, step 1 is staircase(size), and step
+    i >= 2 is phi_{i-1} repeated size-1 times.
+    """
     ring = ring_for(spec)
     m, p, n = spec.m, spec.p, spec.n
+    sizes = {"J": n - 1, "I1": m, "I2": p}
+    if target not in sizes:
+        raise ValueError(f"unknown resolution target {target!r}")
+    size = sizes[target]
+    if i >= 2:
+        return phi(spec, i - 1), size - 1, f"phi{i - 1}^+{size - 1}"
+    if i == 1:
+        return staircase(spec, size), 1, f"staircase({size})"
     if target == "J":
-        if i == 0:
-            gens = [ring.monomial_elem([(j, 1), (m + 1, 1)]) for j in range(1, m + 1)]
-            gens += [ring.monomial_elem([(m, 1), (m + 1 + l, 1)]) for l in range(1, p)]
-            out = SparseMatrixR(ring, 1, n - 1)
-            for c, e in enumerate(gens):
-                out.entries[(0, c)] = e
-            return out, "skew-diagonal generators"
-        if i == 1:
-            return staircase(spec, n - 1), f"staircase({n - 1})"
-        return direct_sum([phi(spec, i - 1)] * (n - 2)), f"phi{i - 1}^+{n - 2}"
-    if target == "I1":
-        if i == 0:
-            out = SparseMatrixR(ring, 1, m)
-            for c in range(m):
-                out.entries[(0, c)] = ring.var_elem(c + 1, 1)
-            return out, "first-block variables"
-        if i == 1:
-            return staircase(spec, m), f"staircase({m})"
-        return direct_sum([phi(spec, i - 1)] * (m - 1)), f"phi{i - 1}^+{m - 1}"
-    if target == "I2":
-        if i == 0:
-            out = SparseMatrixR(ring, 1, p)
-            for c in range(p):
-                out.entries[(0, c)] = ring.var_elem(m + c + 1, 1)
-            return out, "second-block variables"
-        if i == 1:
-            return staircase(spec, p), f"staircase({p})"
-        return direct_sum([phi(spec, i - 1)] * (p - 1)), f"phi{i - 1}^+{p - 1}"
-    raise ValueError(f"unknown resolution target {target!r}")
+        gens = [ring.monomial_elem([(j, 1), (m + 1, 1)]) for j in range(1, m + 1)]
+        gens += [ring.monomial_elem([(m, 1), (m + 1 + l, 1)]) for l in range(1, p)]
+        return _row(ring, gens), 1, "skew-diagonal generators"
+    first, label = (1, "first-block variables") if target == "I1" \
+        else (m + 1, "second-block variables")
+    return _row(ring, [ring.var_elem(j, 1) for j in range(first, first + size)]), 1, label
 
 
 def resolution_of(spec: ScrollSpec, target: str, steps: int) -> Resolution:
@@ -516,40 +499,37 @@ def resolution_of(spec: ScrollSpec, target: str, steps: int) -> Resolution:
         raise ValueError("need at least one step beyond the generators")
     mats, prov = [], []
     for i in range(steps + 1):
-        mat, label = _ideal_step(spec, target, i)
-        mats.append(mat)
+        block, copies, label = _ideal_step(spec, target, i)
+        mats.append(direct_sum([block] * copies))
         prov.append(label)
     ranks = [mats[0].rows] + [s.cols for s in mats]
     return Resolution(spec, target, mats, ranks, prov)
 
 
 def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
-    """Differential i of the field resolution (i >= 1)."""
+    """Differential i of the field resolution (i >= 1), assembled in one pass.
+
+    Step 1 is the row of variables.  Step i >= 2 is the cone
+    [I1 step i-1 (+) I2 step i-1 | alpha_{i-2}; 0 | -(J step i-2)]: the
+    I1 and I2 blocks down the diagonal, alpha_{i-2} to their right and,
+    from i = 3 on, the J block negated once and repeated below alpha.
+    """
     ring = ring_for(spec)
-    n = spec.n
     if i == 1:
-        out = SparseMatrixR(ring, 1, n)
-        for c in range(n):
-            out.entries[(0, c)] = ring.var_elem(c + 1, 1)
-        return out, "variables"
-    g1, l1 = _ideal_step(spec, "I1", i - 1)
-    g2, l2 = _ideal_step(spec, "I2", i - 1)
-    g = direct_sum([g1, g2])
+        return _row(ring, [ring.var_elem(j, 1) for j in range(1, spec.n + 1)]), "variables"
+    b1, k1, l1 = _ideal_step(spec, "I1", i - 1)
+    b2, k2, l2 = _ideal_step(spec, "I2", i - 1)
     a = alpha(spec, i - 2)
+    rows = k1 * b1.rows + k2 * b2.rows
+    cols = k1 * b1.cols + k2 * b2.cols
+    pieces = [*_diagonal([b1] * k1 + [b2] * k2), (0, cols, a)]
+    label = f"[{l1} + {l2} | alpha{i - 2}"
     if i == 2:
-        out = SparseMatrixR(ring, g.rows, g.cols + a.cols)
-        out.entries.update(g.entries)
-        for (r, c), e in a.entries.items():
-            out.entries[(r, g.cols + c)] = e
-        return out, f"[{l1} + {l2} | alpha0]"
-    j, lj = _ideal_step(spec, "J", i - 2)
-    out = SparseMatrixR(ring, g.rows + j.rows, g.cols + j.cols)
-    out.entries.update(g.entries)
-    for (r, c), e in a.entries.items():
-        out.entries[(r, g.cols + c)] = e
-    for (r, c), e in (-j).entries.items():
-        out.entries[(g.rows + r, g.cols + c)] = e
-    return out, f"[{l1} + {l2} | alpha{i - 2}; 0 | -{lj}]"
+        return _assemble(ring, rows, cols + a.cols, pieces), label + "]"
+    bj, kj, lj = _ideal_step(spec, "J", i - 2)
+    pieces += _diagonal([-bj] * kj, rows, cols)
+    return (_assemble(ring, rows + kj * bj.rows, cols + a.cols, pieces),
+            f"{label}; 0 | -{lj}]")
 
 
 def field_resolution(spec: ScrollSpec, steps: int) -> Resolution:

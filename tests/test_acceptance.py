@@ -96,9 +96,7 @@ def test_criterion_3_face_vector():
 
 
 def test_criterion_4_worked_resolution():
-    from test_resolution import D2_33, expected_d3_33, mat_from
-    from scrollres.resolution import SparseMatrixR, direct_sum
-    from scrollres.ring import ring_for
+    from test_resolution import D2_33, expected_d3_33, expected_high_step_33, mat_from
     with criterion(4, "worked 2-scroll differentials and closed form", 5.0):
         res = cached_resolution(S33, 5)
         d2, d3 = res.steps[1], res.steps[2]
@@ -106,19 +104,8 @@ def test_criterion_4_worked_resolution():
         assert (d3.rows, d3.cols) == (21, 64)
         assert d2 == mat_from(S33, 6, 21, D2_33)
         assert d3 == expected_d3_33()
-        ring = ring_for(S33)
         for i in (4, 5):
-            g = direct_sum([phi(S33, i - 2)] * 4)
-            size = 8 * 3 ** (i - 3)
-            want = SparseMatrixR(ring, g.rows + 4 * phi(S33, i - 3).rows,
-                                 g.cols + 2 * size)
-            want.entries.update(g.entries)
-            for r in range(size):
-                want.entries[(r, g.cols + r)] = ring.var_elem(4, 1)
-                want.entries[(size + r, g.cols + size + r)] = ring.var_elem(3, -1)
-            for (r, c), e in direct_sum([phi(S33, i - 3)] * 4).entries.items():
-                want.entries[(g.rows + r, g.cols + c)] = -e
-            assert res.steps[i - 1] == want
+            assert res.steps[i - 1] == expected_high_step_33(i)
 
 
 def test_criterion_5_complex_and_minimality():

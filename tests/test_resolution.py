@@ -278,6 +278,22 @@ def expected_d3_33():
     return out
 
 
+def expected_high_step_33(i):
+    """The worked (3,3) closed form for step i >= 4:
+    [phi_{i-2}^(+4) | x4 and -x3 identities; 0 | -phi_{i-3}^(+4)]."""
+    ring = ring_for(S33)
+    g = direct_sum([phi(S33, i - 2)] * 4)
+    size = 8 * 3 ** (i - 3)
+    out = SparseMatrixR(ring, g.rows + 4 * phi(S33, i - 3).rows, g.cols + 2 * size)
+    out.entries.update(g.entries)
+    for r in range(size):
+        out.entries[(r, g.cols + r)] = ring.var_elem(4, 1)
+        out.entries[(size + r, g.cols + size + r)] = ring.var_elem(3, -1)
+    for (r, c), e in direct_sum([phi(S33, i - 3)] * 4).entries.items():
+        out.entries[(g.rows + r, g.cols + c)] = -e
+    return out
+
+
 def test_field_resolution_step3_matches_worked_matrix():
     res = field_resolution(S33, 3)
     assert res.steps[2] == expected_d3_33()
@@ -291,23 +307,43 @@ def test_field_resolution_3_3_shapes():
 
 
 def test_field_resolution_closed_form_high_steps():
-    # for blocks (3,3) the worked closed form for step i >= 4 is
-    # [phi_{i-2}^(+4) | x4 and -x3 identities; 0 | -phi_{i-3}^(+4)]
     res = field_resolution(S33, 5)
-    ring = ring_for(S33)
     for i in (4, 5):
-        g = direct_sum([phi(S33, i - 2)] * 4)
-        size = 8 * 3 ** (i - 3)
-        expected = SparseMatrixR(ring, g.rows + 4 * phi(S33, i - 3).rows,
-                                 g.cols + 2 * size)
-        expected.entries.update(g.entries)
-        for r in range(size):
-            expected.entries[(r, g.cols + r)] = ring.var_elem(4, 1)
-            expected.entries[(size + r, g.cols + size + r)] = ring.var_elem(3, -1)
-        j = direct_sum([phi(S33, i - 3)] * 4)
+        assert res.steps[i - 1] == expected_high_step_33(i)
+
+
+def cone_step_reference(spec, i):
+    """Field differential i (i >= 2) built by nested direct sums, apart from _cone_step.
+
+    [I1 step i-1 (+) I2 step i-1 | alpha_{i-2}; 0 | -(J step i-2)], with
+    the J row band only from i = 3 on; every entry goes in through `set`.
+    """
+    r1 = resolution_of(spec, "I1", i - 1).steps[i - 1]
+    r2 = resolution_of(spec, "I2", i - 1).steps[i - 1]
+    g = direct_sum([r1, r2])
+    a = alpha(spec, i - 2)
+    j = resolution_of(spec, "J", i - 2).steps[i - 2] if i >= 3 else None
+    out = SparseMatrixR(ring_for(spec), g.rows + (j.rows if j is not None else 0),
+                        g.cols + a.cols)
+    for (r, c), e in g.entries.items():
+        out.set(r, c, e)
+    for (r, c), e in a.entries.items():
+        out.set(r, g.cols + c, e)
+    if j is not None:
         for (r, c), e in j.entries.items():
-            expected.entries[(g.rows + r, g.cols + c)] = -e
-        assert res.steps[i - 1] == expected
+            out.set(g.rows + r, g.cols + c, -e)
+    return out
+
+
+@pytest.mark.parametrize("blocks", [(2, 5), (4, 3), (5, 4)])
+def test_field_resolution_matches_nested_direct_sums(blocks):
+    spec = build_scroll(blocks)
+    ring = ring_for(spec)
+    res = field_resolution(spec, 5)
+    assert res.steps[0] == SparseMatrixR(
+        ring, 1, spec.n, {(0, c): ring.var_elem(c + 1, 1) for c in range(spec.n)})
+    for i in range(2, 6):
+        assert res.steps[i - 1] == cone_step_reference(spec, i), (blocks, i)
 
 
 def test_field_resolution_cols_formula():
