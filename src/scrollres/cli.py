@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import (FAULT_KINDS, check_complex, check_exactness,
                      check_minimality, check_phi_ranks, groebner_consistency,
                      inject_fault, minor_certificate)
 from .oracle import betti_oracle, compare_with_formula
-from .resolution import field_resolution
+from .resolution import Resolution, field_resolution
 from .scrolls import ScrollSpec, build_scroll
 from .series import betti, face_numbers, hilbert_coefficients, series_json
 
@@ -42,13 +43,25 @@ def _count_arg(text: str) -> int:
     return int(text)
 
 
-def _dump(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _dump(obj, out_path: str | None, fmt: str = "json") -> None:
+    """Write obj to out_path, or to stdout without one.
+
+    A Resolution streams itself in fmt ("json" or "text"), so a large one
+    is never held as one string; any other object is small and goes
+    through json.dumps before the file is opened.
+    """
+    if isinstance(obj, Resolution):
+        write = obj.write_text if fmt == "text" else obj.write_json
+    else:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+        def write(fh):
+            fh.write(text)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def cmd_betti(args) -> int:
@@ -81,20 +94,7 @@ def cmd_faces(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    res = field_resolution(args.scroll, args.steps)
-    if args.format == "text":
-        lines = []
-        for idx, step in enumerate(res.steps, start=1):
-            lines.append(f"# step {idx}: {step.rows} x {step.cols}")
-            lines.extend(step.to_text_lines())
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _dump(res.to_json_obj(), args.out)
+    _dump(field_resolution(args.scroll, args.steps), args.out, args.format)
     return 0
 
 
@@ -238,6 +238,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop quietly, and point
+        # stdout at /dev/null so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def run() -> None:

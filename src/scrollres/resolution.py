@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -36,7 +37,8 @@ from .scrolls import ScrollSpec
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
-# (4,5) at step 7, rank 444,528, peaks near 1 GB; step 8 would be ~6x that
+# (4,5) at step 7, rank 444,528: `resolve --out` peaks near 410 MB; step 8
+# has 6x the rank and would need ~6x the memory
 MAX_FREE_RANK = 10**6
 
 
@@ -85,7 +87,8 @@ class SparseMatrixR:
 
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column index arrays, one per stored entry."""
-        return np.array(list(self.entries), dtype=np.intp).reshape(-1, 2).T
+        flat = chain.from_iterable(self.entries)
+        return np.fromiter(flat, np.intp, 2 * len(self.entries)).reshape(-1, 2).T
 
     def __matmul__(self, other: "SparseMatrixR") -> "SparseMatrixR":
         """The exact product; each distinct pair of entry values is multiplied once.
@@ -173,26 +176,46 @@ class SparseMatrixR:
                            lambda e: e.eval_modp(values, p), np.float64)
         return Entries((self.rows, self.cols), rows, cols, vals)
 
-    def _formatted(self) -> list[tuple[int, int, str]]:
-        """(row, col, entry string) in position order; shared Elements are formatted once."""
-        items = self.items_sorted()
-        texts = _per_object([e for _, e in items], str, object)
-        return [(r, c, t) for ((r, c), _), t in zip(items, texts)]
+    def _formatted(self, fn=str) -> tuple[list[int], list[int], list[str]]:
+        """Rows, columns and fn(entry) in (row, col) order.
+
+        One lexsort orders the coordinates; fn runs once per distinct
+        Element object, so shared entries are formatted once.
+        """
+        rows, cols = self._coords()
+        order = np.lexsort((cols, rows))
+        texts = _per_object(list(self.entries.values()), fn, object)
+        return rows[order].tolist(), cols[order].tolist(), texts[order].tolist()
 
     def to_json_obj(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[r, c, t] for r, c, t in self._formatted()],
+            "entries": [list(t) for t in zip(*self._formatted())],
         }
 
     def to_text_lines(self) -> list[str]:
-        return [f"{r} {c} {t}" for r, c, t in self._formatted()]
+        return [f"{r} {c} {t}" for r, c, t in zip(*self._formatted())]
 
     def copy(self) -> "SparseMatrixR":
         out = SparseMatrixR(self.ring, self.rows, self.cols)
         out.entries = dict(self.entries)
         return out
+
+
+# the five lines json.dumps(indent=2) gives a [row, col, "entry"] list
+# inside a differential's "entries"
+_JSON_ENTRY = "\n        [\n          %d,\n          %d,\n          %s\n        ]"
+_WRITE_CHUNK = 1 << 16  # entries formatted per write
+
+
+def _write_entries(fh, template: str, sep: str, fields) -> None:
+    """template % entry for each entry of (rows, cols, texts), sep-joined, in chunks."""
+    rows, cols, texts = fields
+    for lo in range(0, len(rows), _WRITE_CHUNK):
+        hi = lo + _WRITE_CHUNK
+        fh.write((sep if lo else "") + sep.join(
+            map(template.__mod__, zip(rows[lo:hi], cols[lo:hi], texts[lo:hi]))))
 
 
 def _per_object(elements: list, fn, dtype) -> np.ndarray:
@@ -456,13 +479,41 @@ class Resolution:
                 )
 
     def to_json_obj(self) -> dict:
+        return {**self._summary(), "steps": [s.to_json_obj() for s in self.steps]}
+
+    def _summary(self) -> dict:
+        """The JSON document without its steps."""
         return {
             "spec": {"blocks": list(self.spec.blocks)},
             "target": self.target,
             "ranks": [str(r) for r in self.ranks],
-            "steps": [s.to_json_obj() for s in self.steps],
             "provenance": list(self.provenance),
         }
+
+    def write_json(self, fh) -> None:
+        """Write json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n".
+
+        The summary goes through json around an empty "steps" list, which
+        the differentials then fill one at a time, without a tree.
+        """
+        import json  # here, not at the top: `import scrollres` does not load json
+
+        doc = json.dumps({**self._summary(), "steps": []}, sort_keys=True, indent=2)
+        head, _, tail = doc.partition('"steps": []')
+        fh.write(head + '"steps": [')
+        for k, step in enumerate(self.steps):
+            fh.write(("," if k else "") + '\n    {\n      "cols": %d,\n      "entries": [' % step.cols)
+            _write_entries(fh, _JSON_ENTRY, ",", step._formatted(lambda e: json.dumps(str(e))))
+            fh.write(("\n      ]" if step.entries else "]") + ',\n      "rows": %d\n    }' % step.rows)
+        fh.write(("\n  ]" if self.steps else "]") + tail + "\n")
+
+    def write_text(self, fh) -> None:
+        """Write each step as "# step i: rows x cols" then one "row col entry" line per entry."""
+        if not self.steps:
+            fh.write("\n")
+        for idx, step in enumerate(self.steps, start=1):
+            fh.write(f"# step {idx}: {step.rows} x {step.cols}\n")
+            _write_entries(fh, "%d %d %s\n", "", step._formatted())
 
 
 def _ideal_step(spec: ScrollSpec, target: str, i: int) -> tuple[SparseMatrixR, int, str]:

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from scrollres.cli import main
+from scrollres.resolution import field_resolution
+from scrollres.scrolls import build_scroll
 
 
 def run(capsys, argv):
@@ -174,3 +179,46 @@ def test_out_file_writing(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(path.read_text())
     assert obj["spec"] == {"blocks": [2, 2]}
+
+
+def test_resolve_streams_reference_bytes_to_stdout_and_file(tmp_path, capsys):
+    res = field_resolution(build_scroll([4, 3]), 4)
+    lines = []
+    for idx, step in enumerate(res.steps, start=1):
+        lines.append(f"# step {idx}: {step.rows} x {step.cols}")
+        lines.extend(step.to_text_lines())
+    want = {"json": json.dumps(res.to_json_obj(), sort_keys=True, indent=2) + "\n",
+            "text": "\n".join(lines) + "\n"}
+    for fmt, text in want.items():
+        argv = ["resolve", "--scroll", "4,3", "--steps", "4", "--format", fmt]
+        rc, out = run(capsys, argv)
+        assert (rc, out) == (0, text), fmt
+        path = tmp_path / f"res.{fmt}"
+        rc, out = run(capsys, argv + ["--out", str(path)])
+        assert (rc, out) == (0, "")
+        assert path.read_text() == text
+
+
+def test_refused_resolve_leaves_no_file(tmp_path, capsys):
+    path = tmp_path / "F"
+    rc = main(["resolve", "--scroll", "4,5", "--steps", "8", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # 0.4 MB of text cannot fit in the pipe, so the writer is still
+    # writing when the reader stops
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scrollres.cli", "resolve", "--scroll", "4,5",
+         "--steps", "5", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# step 1: 1 x 9\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

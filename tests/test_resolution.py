@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -420,6 +421,68 @@ def test_matrix_invariants_and_json():
     assert obj["steps"][0]["entries"][0] == [0, 0, "x1"]
     lines = step.to_text_lines()
     assert lines[0].split() == ["0", "0", "x2"]
+
+
+def reference_json(res):
+    return json.dumps(res.to_json_obj(), sort_keys=True, indent=2) + "\n"
+
+
+def reference_text(res):
+    lines = []
+    for idx, step in enumerate(res.steps, start=1):
+        lines.append(f"# step {idx}: {step.rows} x {step.cols}")
+        lines.extend(step.to_text_lines())
+    return "\n".join(lines) + "\n"
+
+
+def streamed(res, fmt):
+    fh = io.StringIO()
+    (res.write_text if fmt == "text" else res.write_json)(fh)
+    return fh.getvalue()
+
+
+def assert_streams_match_reference(res):
+    assert streamed(res, "json") == reference_json(res)
+    assert streamed(res, "text") == reference_text(res)
+
+
+@pytest.mark.parametrize("blocks", [(2, 2), (3, 3), (2, 5), (4, 3), (5, 4)])
+def test_streamed_output_matches_json_and_text_reference(blocks):
+    spec = build_scroll(list(blocks))
+    for steps in range(1, 6):
+        assert_streams_match_reference(field_resolution(spec, steps))
+
+
+def test_streamed_output_matches_reference_on_faults():
+    res = field_resolution(S33, 4)
+    for kind in FAULT_KINDS:
+        assert_streams_match_reference(inject_fault(res, kind))
+
+
+def test_streamed_output_empty_step_and_fraction():
+    ring = ring_for(S33)
+    half = ring.var_elem(2).scalar_mul(Fraction(-1, 2))
+    first = SparseMatrixR(ring, 1, 3, [((0, 2), half), ((0, 0), ring.var_elem(1))])
+    empty = SparseMatrixR(ring, 3, 2)
+    last = SparseMatrixR(ring, 2, 2, [((1, 0), half), ((0, 1), ring.one()),
+                                      ((0, 0), half)])
+    res = Resolution(S33, "field \"α\"", [first, empty, last], [1, 3, 2, 2],
+                     ["variables", "tab\tand ü", 'quote "steps": []'])
+    assert_streams_match_reference(res)
+    doc = json.loads(streamed(res, "json"))
+    assert doc["steps"][1]["entries"] == []
+    assert doc["steps"][0]["entries"][1] == [0, 2, "-1/2*x2"]
+    assert streamed(res, "text").splitlines()[3] == "# step 2: 3 x 2"
+    assert_streams_match_reference(Resolution(S33, "field", [], [1]))
+
+
+def test_formatted_entries_are_in_position_order():
+    res = inject_fault(field_resolution(S43, 4), "unit_insert")
+    for step in res.steps:
+        rows, cols, texts = step._formatted()
+        items = sorted(step.entries.items())
+        assert list(zip(rows, cols)) == [pos for pos, _ in items]
+        assert texts == [str(e) for _, e in items]
 
 
 def test_eval_modp_one_value_per_entry():
