@@ -5,7 +5,7 @@ oracle.  JSON output is deterministic for a fixed (argv, seed): keys are
 sorted and mathematical values are emitted as decimal strings so that no
 consumer has to assume a native integer width.  Exit codes: 0 success /
 all checks pass, 1 check failure, 2 usage error (including inputs too
-large to compute in memory).
+large to compute in memory and an --out path that cannot be written).
 
 Block sizes are what every formula consumes, so --scroll takes the
 comma-separated block sizes m_i; the classical label of the variety is
@@ -235,14 +235,15 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except (ValueError, TypeError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return USAGE_ERROR
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): stop quietly, and point
         # stdout at /dev/null so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (ValueError, TypeError, MemoryError, OSError) as exc:
+        # OSError: an --out path that cannot be opened or written
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def run() -> None:

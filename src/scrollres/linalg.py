@@ -8,6 +8,13 @@ connected components of the row-column graph, build a dense block for
 each component only, and reduce it with `rref_modp`, the one
 elimination loop.  No array of the whole matrix is allocated.
 
+The same few blocks repeat many times along the diagonal, so within one
+call each distinct component is built and reduced once.  Components are
+compared by their local entries (shape, row and column indices, values,
+all as exact bytes): equal entries give an equal block, and a repeat
+whose entries come in another order is merely reduced again.  Nothing
+is kept between calls.
+
 Blocks are float64 arrays holding exact integers.  Reduction keeps
 signed residues in [-p/2, p/2]; scaling a pivot row by an inverse in
 [1, p) stays below p**2 / 2, and an elimination update adds at most
@@ -96,16 +103,17 @@ class Entries(NamedTuple):
 
 
 def _blocks(a: Entries, p: int):
-    """(cols, block) for each connected component of the entries.
+    """(cs, ri, ci, vals, shape) for each connected component.
 
     Rows and columns are the nodes and every entry is an edge.
     Union-find on whole arrays: each root is hooked to the smallest root
     it shares an edge with, then labels jump to their roots, until every
-    edge joins equal labels.  A block is dense float64 over the
-    component's rows and columns, both ascending; rows and columns
-    without entries belong to no component.  An entry that is 0 mod p
-    only merges two components, which is still sound.  Moduli outside
-    [2, MAX_MODULUS) are refused here, for both entry points.
+    edge joins equal labels.  A component's block has `shape`, over its
+    rows and its columns `cs`, both ascending; its entries sit at local
+    rows `ri` and local columns `ci`.  Rows and columns without entries
+    belong to no component.  An entry that is 0 mod p only merges two
+    components, which is still sound.  Moduli outside [2, MAX_MODULUS)
+    are refused here, for both entry points.
     """
     if not 2 <= p < MAX_MODULUS:
         raise ValueError(
@@ -131,14 +139,30 @@ def _blocks(a: Entries, p: int):
     for e in np.split(order, np.flatnonzero(np.diff(lu[order])) + 1):
         rs, ri = np.unique(a.rows[e], return_inverse=True)
         cs, ci = np.unique(a.cols[e], return_inverse=True)
-        block = np.zeros((rs.size, cs.size))
-        np.add.at(block, (ri, ci), a.vals[e])
-        yield cs, block
+        yield cs, ri, ci, a.vals[e], (rs.size, cs.size)
+
+
+def _reduced(a: Entries, p: int, reduce):
+    """(cs, reduce(block)) for each connected component.
+
+    A component whose shape and local entries equal, byte for byte, those
+    of one already seen in this call reuses its result; only a new one
+    gets a dense block.
+    """
+    seen = {}
+    for cs, ri, ci, vals, shape in _blocks(a, p):
+        key = (shape, ri.tobytes(), ci.tobytes(), vals.tobytes())
+        if key not in seen:
+            block = np.zeros(shape)
+            np.add.at(block, (ri, ci), vals)
+            seen[key] = reduce(block)
+        yield cs, seen[key]
 
 
 def rank_modp(a: Entries, p: int) -> int:
     """Rank over F_p: the sum of the ranks of the connected components."""
-    return sum(len(rref_modp(block, p)[1]) for _, block in _blocks(a, p))
+    return sum(len(pivots) for _, pivots in
+               _reduced(a, p, lambda b: rref_modp(b, p)[1]))
 
 
 def nullspace_modp(a: Entries, p: int) -> np.ndarray:
@@ -151,8 +175,7 @@ def nullspace_modp(a: Entries, p: int) -> np.ndarray:
     n = a.shape[1]
     free = np.ones(n, dtype=bool)
     parts = []
-    for cs, block in _blocks(a, p):
-        R, pivots = rref_modp(block, p)
+    for cs, (R, pivots) in _reduced(a, p, lambda b: rref_modp(b, p)):
         free[cs[pivots]] = False
         parts.append((cs, pivots, R[:len(pivots)]))
     slot = np.cumsum(free) - 1  # basis column of each free column

@@ -209,6 +209,24 @@ def test_refused_resolve_leaves_no_file(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "F")
+    for argv in (["betti", "--scroll", "2,2", "--max", "2", "--format", "json"],
+                 ["hilbert", "--scroll", "2,2", "--format", "json"],
+                 ["faces", "--scroll", "2,2", "--format", "json"],
+                 ["resolve", "--scroll", "2,2", "--steps", "2"],
+                 ["resolve", "--scroll", "2,2", "--steps", "2", "--format", "text"],
+                 ["verify", "--scroll", "2,2", "--steps", "2", "--checks", "complex"],
+                 ["oracle", "--scroll", "2,2", "--imax", "2"]):
+        for out in (missing, str(tmp_path)):  # no parent, a directory
+            rc = main(argv + ["--out", out])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, ""), argv
+            assert captured.err.startswith("error: "), argv
+            assert captured.err.count("\n") == 1, argv
+            assert not os.path.exists(missing)
+
+
 def test_reader_closing_stdout_early_is_not_an_error():
     # 0.4 MB of text cannot fit in the pipe, so the writer is still
     # writing when the reader stops

@@ -1,8 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 
+from scrollres import linalg
+from scrollres.checks import scroll_point
 from scrollres.linalg import (MAX_MODULUS, Entries, _blocks, is_prime,
                               nullspace_modp, rank_modp, reduce_mod, rref_modp)
+from scrollres.resolution import field_resolution
+from scrollres.scrolls import build_scroll
 
 
 def entries(mat):
@@ -122,11 +128,149 @@ def test_entry_equal_to_p_links_row_and_column():
     p = 101
     a = Entries((2, 3), np.array([0, 0, 1]), np.array([0, 1, 1]),
                 np.array([1.0, p, 1.0]))
-    (cs, block), = _blocks(a, p)
+    (cs, ri, ci, vals, shape), = _blocks(a, p)
     assert cs.tolist() == [0, 1]
+    block = np.zeros(shape)
+    np.add.at(block, (ri, ci), vals)
     assert block.tolist() == [[1, p], [0, 1]]
     assert rank_modp(a, p) == 2
     assert nullspace_modp(a, p).tolist() == [[0], [0], [1]]
+
+
+def reference_nullspace(mat, p):
+    """The kernel basis from one rref of the whole dense matrix: for each
+    free column c, 1 at c and minus column c of R at the pivots."""
+    R, pivots = rref_modp(mat, p)
+    n = mat.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for j, c in enumerate(free):
+        basis[c, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = int(-R[i, c]) % p
+    return basis
+
+
+def assert_matches_dense_reference(a, p):
+    mat = np.zeros(a.shape)
+    np.add.at(mat, (a.rows, a.cols), a.vals)
+    assert rank_modp(a, p) == len(rref_modp(mat, p)[1])
+    assert np.array_equal(nullspace_modp(a, p), reference_nullspace(mat, p))
+
+
+def diagonal(components, extra=(0, 0), order=None):
+    """Entries with the components, each (rows, cols, vals, shape), placed
+    corner to corner, then `extra` empty rows and columns; `order`
+    permutes the entry list."""
+    rows, cols, vals = [], [], []
+    r0 = c0 = 0
+    for ri, ci, v, (m, n) in components:
+        rows.append(np.asarray(ri) + r0)
+        cols.append(np.asarray(ci) + c0)
+        vals.append(np.asarray(v, dtype=np.float64))
+        r0, c0 = r0 + m, c0 + n
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    if order is not None:
+        perm = order(rows.size)
+        rows, cols, vals = rows[perm], cols[perm], vals[perm]
+    return Entries((r0 + extra[0], c0 + extra[1]), rows, cols, vals)
+
+
+def count_rref_calls(monkeypatch):
+    calls = []
+    real = linalg.rref_modp
+
+    def counting(block, p):
+        calls.append(block.shape)
+        return real(block, p)
+    monkeypatch.setattr(linalg, "rref_modp", counting)
+    return calls
+
+
+def test_repeated_components_match_dense_reference(monkeypatch):
+    rng = np.random.default_rng(13)
+    calls = count_rref_calls(monkeypatch)
+    for p in (3, 101, 32003):
+        for _ in range(15):
+            kinds = {}
+            for _ in range(int(rng.integers(1, 4))):
+                m, n = (int(x) for x in rng.integers(1, 6, size=2))
+                r = int(rng.integers(1, min(m, n) + 1))
+                mat = (rng.integers(0, p, size=(m, r))
+                       @ rng.integers(0, p, size=(r, n))) % p
+                mat[0, :] = mat[:, 0] = 1  # one component
+                rows, cols = np.nonzero(mat)
+                kinds[(mat.shape, mat.tobytes())] = (rows, cols, mat[rows, cols],
+                                                     mat.shape)
+            kinds = list(kinds.values())
+            picks = rng.integers(0, len(kinds), size=int(rng.integers(2, 9)))
+            comps = [kinds[i] for i in picks]
+            extra = tuple(int(x) for x in rng.integers(0, 3, size=2))
+            calls.clear()
+            assert_matches_dense_reference(diagonal(comps, extra), p)
+            # copies with their entries in the same order are reduced once
+            # in rank_modp and once in nullspace_modp
+            assert len(calls) == 2 * len(set(picks.tolist()))
+            # a shuffled entry list may miss the memo but stays exact
+            assert_matches_dense_reference(
+                diagonal(comps, extra, rng.permutation), p)
+
+
+def test_near_duplicate_components_are_kept_apart():
+    p = 101
+    base = ([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 2, 4], (2, 2))  # rank 1
+    near = [
+        ([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 2, 5], (2, 2)),  # one value
+        ([0, 0, 1, 1], [0, 1, 1, 1], [1, 2, 2, 4], (2, 2)),  # one column
+        ([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 2, 4 + p], (2, 2)),  # +p
+        # repeated coordinates that add up to the base block
+        ([0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 1, 1], [1, 1, 1, 2, 3, 1], (2, 2)),
+    ]
+    for other in near:
+        for comps in ([base, other, base], [other, base, other]):
+            assert_matches_dense_reference(diagonal(comps), p)
+    # the base with a third column, linked by an entry of p, 0 or -0.0
+    wide = [([0, 0, 1, 1, 1], [0, 1, 0, 1, 2], [1, 2, 2, 4, v], (2, 3))
+            for v in (p, 0.0, -0.0)]
+    for comps in (wide, wide[::-1], [wide[1], wide[2], wide[1], wide[0]]):
+        assert_matches_dense_reference(diagonal(comps), p)
+    assert rank_modp(diagonal([base, near[0]]), p) == 3
+    assert rank_modp(diagonal([base, near[1]]), p) == 3
+    assert rank_modp(diagonal([base, near[2]]), p) == 2
+
+
+def test_field_resolution_probe_reduces_each_distinct_component_once(monkeypatch):
+    p = 32003
+    spec = build_scroll([4, 5])
+    res = field_resolution(spec, 5)
+    point = scroll_point(spec, random.Random(0), p)
+    calls = count_rref_calls(monkeypatch)
+    for step in res.steps[3:5]:
+        a = step.eval_modp(point, p)
+        # components by a plain union-find over the entries; a component
+        # is its dense block over its rows and columns in ascending order
+        parent = list(range(a.shape[0] + a.shape[1]))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+        for r, c in zip(a.rows.tolist(), a.cols.tolist()):
+            parent[find(r)] = find(a.shape[0] + c)
+        members = {}
+        for r, c, v in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()):
+            members.setdefault(find(r), []).append((r, c, v))
+        blocks = set()
+        for ents in members.values():
+            rs = sorted({r for r, _, _ in ents})
+            cs = sorted({c for _, c, _ in ents})
+            block = np.zeros((len(rs), len(cs)))
+            for r, c, v in ents:
+                block[rs.index(r), cs.index(c)] += v
+            blocks.add((block.shape, block.tobytes()))
+        calls.clear()
+        rank_modp(a, p)
+        assert len(calls) == len(blocks) < len(members)
 
 
 def test_no_entries_rank_zero_kernel_identity():
