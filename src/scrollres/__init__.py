@@ -1,7 +1,7 @@
 """Betti numbers and explicit minimal free resolutions over rational normal scrolls."""
 
 from .scrolls import Binomial, ScrollSpec, VarIndex, build_scroll, minor_generators, scroll_matrix, toric_matrix
-from .ring import Element, ScrollRing, adegree, is_standard, lex_compare, normal_form, ring_for, standard_monomials
+from .ring import Element, ScrollRing, adegree, is_standard, normal_form, ring_for, standard_monomials
 from .series import (FaceVector, IntSeries, RationalForm, betti, betti_tail,
                      delta_facets, face_numbers, hilbert_coefficients,
                      hilbert_series, initial_ideal_generators, koszul_defect,

@@ -47,13 +47,13 @@ def _dump(obj, out_path: str | None, fmt: str = "json") -> None:
     """Write obj to out_path, or to stdout without one.
 
     A Resolution streams itself in fmt ("json" or "text"), so a large one
-    is never held as one string; any other object is small and goes
-    through json.dumps before the file is opened.
+    is never held as one string; a str is written as it is; any other
+    object is small and goes through json.dumps before the file is opened.
     """
     if isinstance(obj, Resolution):
         write = obj.write_text if fmt == "text" else obj.write_json
     else:
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
         def write(fh):
             fh.write(text)
@@ -70,7 +70,7 @@ def cmd_betti(args) -> int:
         _dump({"blocks": list(args.scroll.blocks),
                "betti": [str(v) for v in values]}, args.out)
     else:
-        print(" ".join(str(v) for v in values))
+        _dump(" ".join(str(v) for v in values) + "\n", args.out)
     return 0
 
 
@@ -79,7 +79,7 @@ def cmd_hilbert(args) -> int:
         _dump(series_json(args.scroll, args.terms), args.out)
     else:
         coeffs = hilbert_coefficients(args.scroll, args.terms)
-        print(" ".join(str(c) for c in coeffs.coefficients))
+        _dump(" ".join(str(c) for c in coeffs.coefficients) + "\n", args.out)
     return 0
 
 
@@ -89,7 +89,7 @@ def cmd_faces(args) -> int:
         _dump({"blocks": list(args.scroll.blocks),
                "f_vector": [str(c) for c in fv.counts]}, args.out)
     else:
-        print(" ".join(str(c) for c in fv.counts))
+        _dump(" ".join(str(c) for c in fv.counts) + "\n", args.out)
     return 0
 
 

@@ -81,14 +81,12 @@ def _mult_table(spec: ScrollSpec, var: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def multiplication_map(spec: ScrollSpec, var: int, d: int, modulus: int) -> np.ndarray:
-    """Matrix of multiplication by x_var from degree d to d+1 over F_q."""
+def multiplication_map(spec: ScrollSpec, var: int, d: int) -> np.ndarray:
+    """0/1 matrix of multiplication by x_var from degree d to d+1, over any field."""
     if not 1 <= var <= spec.n:
         raise ValueError(f"variable index {var} out of range")
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if not is_prime(modulus):
-        raise ValueError("modulus must be prime")
     rows = len(graded_basis(spec, d + 1))
     cols = len(graded_basis(spec, d))
     out = np.zeros((rows, cols), dtype=np.int64)
@@ -132,55 +130,43 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
         raise ValueError("imax must be at least 1")
     p = modulus
     n = spec.n
-    table = BettiTable(p, {(0, 0): 1}, imax)
+    # the augmentation kernel starts in degree 1
+    table = BettiTable(p, {(0, 0): 1, (1, 0): 0}, imax)
 
     def rdim(d: int) -> int:
-        return len(graded_basis(spec, d)) if d >= 0 else 0
+        return len(graded_basis(spec, d))
 
-    # step 1: generators of the maximal ideal
-    table.entries[(1, 0)] = 0  # the augmentation kernel starts in degree 1
-    table.entries[(1, 1)] = n
-    cstack = np.eye(n, dtype=np.int64).reshape(1, n, n)
-    prev_nullity = {2: rdim(2), 3: rdim(3)}  # ker(d_0)_j = R_j for j >= 1
-    for j in (2, 3):
-        r = rank_modp(_degree_matrix(spec, cstack, j - 1), p)
-        table.entries[(1, j)] = prev_nullity[j] - r
-        prev_nullity[j] = len(graded_basis(spec, j - 1)) * n - r  # ker(d_1)_j
-
-    g_prev = n  # generators of the current last free module
-    for i in range(2, imax + 1):
-        # degree i-1: columns of d_{i-1} there are the kernel basis itself
-        m_lo = _degree_matrix(spec, cstack, 0)
-        table.entries[(i, i - 1)] = m_lo.shape[1] - rank_modp(m_lo, p)
-        # degree i: fresh minimal generators
-        m_mid = _degree_matrix(spec, cstack, 1)
-        kernel = nullspace_modp(m_mid, p)
+    # step 1 starts from d_0, the augmentation: ker(d_0)_j = R_j for j >= 1,
+    # so over its one generator the degree-1 kernel basis is the identity
+    g_prev = 1  # generators of F_{i-1}
+    kernel = np.eye(n, dtype=np.int64)
+    nullity = {2: rdim(2), 3: rdim(3)}  # ker(d_{i-1})_j, j = i+1 and i+2
+    for i in range(1, imax + 1):
+        if i > 1:
+            # degree i-1: columns of d_{i-1} there are the kernel basis itself
+            m_lo = _degree_matrix(spec, cstack, 0)
+            table.entries[(i, i - 1)] = m_lo.shape[1] - rank_modp(m_lo, p)
+            # degree i: fresh minimal generators
+            kernel = nullspace_modp(_degree_matrix(spec, cstack, 1), p)
         g_cur = kernel.shape[1]
         table.entries[(i, i)] = g_cur
-        nullity_mid = {
-            i + 1: prev_nullity[i + 1],
-            i + 2: prev_nullity[i + 2] if i + 2 in prev_nullity else None,
-        }
-        if nullity_mid[i + 2] is None:
+        if i + 2 not in nullity:
             m = _degree_matrix(spec, cstack, 3)
-            nullity_mid[i + 2] = m.shape[1] - rank_modp(m, p)
+            nullity[i + 2] = m.shape[1] - rank_modp(m, p)
         if g_cur == 0:
-            table.entries[(i, i + 1)] = nullity_mid[i + 1]
-            table.entries[(i, i + 2)] = nullity_mid[i + 2]
+            table.entries[(i, i + 1)] = nullity[i + 1]
+            table.entries[(i, i + 2)] = nullity[i + 2]
             for ii in range(i + 1, imax + 1):
                 for jj in range(ii - 1, ii + 3):
                     table.entries[(ii, jj)] = 0
             return table
-        new_stack = kernel.reshape(g_prev, n, g_cur)
-        m_up = _degree_matrix(spec, new_stack, 1)
-        r_up = rank_modp(m_up, p)
-        table.entries[(i, i + 1)] = nullity_mid[i + 1] - r_up
-        m_up2 = _degree_matrix(spec, new_stack, 2)
-        r_up2 = rank_modp(m_up2, p)
-        table.entries[(i, i + 2)] = nullity_mid[i + 2] - r_up2
+        cstack = kernel.reshape(g_prev, n, g_cur)  # d_i
+        r_up = rank_modp(_degree_matrix(spec, cstack, 1), p)
+        table.entries[(i, i + 1)] = nullity[i + 1] - r_up
+        r_up2 = rank_modp(_degree_matrix(spec, cstack, 2), p)
+        table.entries[(i, i + 2)] = nullity[i + 2] - r_up2
         # the next step reads ker(d_i)_{i+2}; ker(d_i)_{i+3} is done lazily
-        prev_nullity = {i + 2: g_cur * rdim(2) - r_up2}
-        cstack = new_stack
+        nullity = {i + 2: g_cur * rdim(2) - r_up2}
         g_prev = g_cur
     return table
 

@@ -157,7 +157,7 @@ class SparseMatrixR:
                 total = int(total)
             raw.setdefault((r, c), {})[by_mono[m]] = total
         out = SparseMatrixR(self.ring, self.rows, other.cols)
-        out.entries = {pos: Element(self.ring, terms, None) for pos, terms in raw.items()}
+        out.entries = {pos: Element(self.ring, terms) for pos, terms in raw.items()}
         return out
 
     def __neg__(self) -> "SparseMatrixR":

@@ -8,8 +8,8 @@ matching antidiagonal product strictly decreases the lex order and
 preserves the multigrading, so normal forms of polynomials are just
 termwise rewrites followed by coefficient collection.
 
-Elements carry an optional prime modulus; coefficients are exact Python
-ints / Fractions otherwise.
+Coefficients are exact Python ints or Fractions.  F_p is reached only
+through `Element.eval_modp`, which evaluates an element at a point.
 """
 from __future__ import annotations
 
@@ -20,17 +20,6 @@ from types import MappingProxyType
 
 from .scrolls import (Monomial, ScrollSpec, format_monomial, minor_generators,
                       toric_matrix)
-
-
-def lex_compare(a: Monomial, b: Monomial) -> int:
-    """Pure lex order with x_1 largest: 1 if a > b, -1 if a < b, 0 if equal.
-
-    With this variable order, lex comparison of monomials is exactly
-    tuple comparison of exponent vectors.
-    """
-    if len(a) != len(b):
-        raise ValueError("monomials live in different variable counts")
-    return (a > b) - (a < b)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -70,7 +59,7 @@ class ScrollRing:
                 return False
         return True
 
-    def _find_reducer(self, mono: Monomial, mask: int):
+    def _find_reducer(self, mask: int):
         for gmask, a, b, adds in self._reducers:
             if gmask & mask == gmask:
                 return a, b, adds
@@ -88,7 +77,7 @@ class ScrollRing:
             for i, e in enumerate(cur):
                 if e:
                     mask |= 1 << i
-            red = self._find_reducer(cur, mask)
+            red = self._find_reducer(mask)
             if red is None:
                 break
             trail.append(cur)
@@ -188,7 +177,7 @@ class ScrollRing:
 
     # -- element factory -------------------------------------------------
 
-    def element(self, raw: dict, modulus: int | None = None) -> "Element":
+    def element(self, raw: dict) -> "Element":
         """Normal form of an arbitrary monomial->coefficient mapping."""
         terms: dict[Monomial, object] = {}
         for mono, c in raw.items():
@@ -196,31 +185,27 @@ class ScrollRing:
                 continue
             m = self.nf_monomial(tuple(mono))
             acc = terms.get(m, 0) + c
-            if modulus is not None:
-                acc %= modulus
             if acc:
                 terms[m] = acc
             elif m in terms:
                 del terms[m]
-        if modulus is None:
-            for m in list(terms):
-                c = terms[m]
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    terms[m] = int(c)
-        return Element(self, terms, modulus)
+        for m, c in terms.items():
+            if isinstance(c, Fraction) and c.denominator == 1:
+                terms[m] = int(c)
+        return Element(self, terms)
 
-    def zero(self, modulus: int | None = None) -> "Element":
-        return Element(self, {}, modulus)
+    def zero(self) -> "Element":
+        return Element(self, {})
 
-    def one(self, modulus: int | None = None) -> "Element":
-        return Element(self, {self._unit: 1}, modulus)
+    def one(self) -> "Element":
+        return Element(self, {self._unit: 1})
 
     @lru_cache(maxsize=None)
     def var_elem(self, flat: int, sign: int = 1) -> "Element":
         """+-x_flat as a ring element (flat is 1-based)."""
         e = [0] * self.n
         e[flat - 1] = 1
-        return Element(self, {tuple(e): sign}, None)
+        return Element(self, {tuple(e): sign})
 
     def monomial_elem(self, pairs, sign: int = 1) -> "Element":
         """Signed monomial from (flat index, exponent) pairs."""
@@ -249,16 +234,15 @@ class Element:
     hand the same Element to every caller.
     """
 
-    __slots__ = ("ring", "terms", "modulus")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: ScrollRing, terms: dict, modulus: int | None):
+    def __init__(self, ring: ScrollRing, terms: dict):
         self.ring = ring
         self.terms = MappingProxyType(terms)
-        self.modulus = modulus
 
     def _check(self, other: "Element") -> None:
-        if self.ring.spec != other.ring.spec or self.modulus != other.modulus:
-            raise ValueError("elements from different rings or coefficient domains")
+        if self.ring.spec != other.ring.spec:
+            raise ValueError("elements from different rings")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -277,35 +261,24 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
         terms = dict(self.terms)
-        q = self.modulus
         for m, c in other.terms.items():
             acc = terms.get(m, 0) + c
-            if q is not None:
-                acc %= q
             if acc:
                 terms[m] = acc
             elif m in terms:
                 del terms[m]
-        return Element(self.ring, terms, q)
+        return Element(self.ring, terms)
 
     def __neg__(self) -> "Element":
-        q = self.modulus
-        if q is None:
-            return Element(self.ring, {m: -c for m, c in self.terms.items()}, q)
-        return Element(self.ring, {m: (-c) % q for m, c in self.terms.items()}, q)
+        return Element(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def scalar_mul(self, c) -> "Element":
-        q = self.modulus
-        if q is not None:
-            c %= q
         if not c:
-            return Element(self.ring, {}, q)
-        if q is None:
-            return Element(self.ring, {m: x * c for m, x in self.terms.items()}, q)
-        return Element(self.ring, {m: (x * c) % q for m, x in self.terms.items()}, q)
+            return Element(self.ring, {})
+        return Element(self.ring, {m: x * c for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -316,7 +289,7 @@ class Element:
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 raw[m] = raw.get(m, 0) + ca * cb
-        return self.ring.element(raw, self.modulus)
+        return self.ring.element(raw)
 
     __rmul__ = __mul__
 
@@ -324,15 +297,18 @@ class Element:
         return (
             isinstance(other, Element)
             and self.ring.spec == other.ring.spec
-            and self.modulus == other.modulus
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring.spec, self.modulus, tuple(sorted(self.terms.items()))))
+        return hash((self.ring.spec, tuple(sorted(self.terms.items()))))
 
     def eval_modp(self, values: list[int], p: int) -> int:
-        """Evaluate at x_i = values[i-1] over F_p."""
+        """Evaluate at x_i = values[i-1] over F_p.
+
+        A Fraction coefficient whose denominator p divides has no image in
+        F_p, so it is refused rather than sent to 0.
+        """
         total = 0
         for m, c in self.terms.items():
             v = 1
@@ -340,6 +316,9 @@ class Element:
                 if e:
                     v = v * pow(values[i], e, p) % p
             if isinstance(c, Fraction):
+                if c.denominator % p == 0:
+                    raise ValueError(f"coefficient {c} has no image mod {p}: "
+                                     f"{p} divides its denominator")
                 cv = c.numerator % p * pow(c.denominator % p, p - 2, p) % p
             else:
                 cv = int(c) % p
@@ -353,7 +332,7 @@ class Element:
         for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             mono = format_monomial(m)
-            if self.modulus is None and c < 0:
+            if c < 0:
                 sign, mag = "-", -c
             else:
                 sign, mag = "+", c
@@ -384,8 +363,8 @@ def is_standard(mono: Monomial, spec: ScrollSpec) -> bool:
     return ring_for(spec).is_standard(tuple(mono))
 
 
-def normal_form(raw: dict, spec: ScrollSpec, modulus: int | None = None) -> Element:
-    return ring_for(spec).element(raw, modulus)
+def normal_form(raw: dict, spec: ScrollSpec) -> Element:
+    return ring_for(spec).element(raw)
 
 
 def standard_monomials(spec: ScrollSpec, d: int) -> list[Monomial]:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,19 @@ def test_probe_rank_reproducible_and_validated():
         probe_rank(phi(S33, 1), modulus=32004)
     with pytest.raises(ValueError):
         probe_rank(phi(S33, 1), trials=0)
+
+
+def test_probe_rank_refuses_coefficients_without_image_mod_p():
+    # det [[1, 1/101], [101, 1]] = 0, so the rank over Q is 1; sending 1/101
+    # to 0 mod 101 would report 2, more than the true rank
+    r = ring_for(S33)
+    unit = (0,) * S33.n
+    mat = SparseMatrixR(r, 2, 2, {(0, 0): r.one(), (1, 1): r.one(),
+                                  (0, 1): r.element({unit: Fraction(1, 101)}),
+                                  (1, 0): r.element({unit: 101})})
+    assert probe_rank(mat, trials=2, modulus=103).probe == 1
+    with pytest.raises(ValueError, match="1/101 has no image mod 101"):
+        probe_rank(mat, trials=2, modulus=101)
 
 
 def test_phi_rank_values():

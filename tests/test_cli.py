@@ -148,6 +148,10 @@ def test_oracle_compare(capsys):
     assert obj["diagonal"] == ["1", "4", "7", "8"]
     entries = obj["betti_table"]["entries"]
     assert {"i": 1, "j": 1, "value": "4"} in entries
+    # (2) is a polynomial ring: the oracle stops at its vanishing kernel
+    rc, out = run(capsys, ["oracle", "--compare", "--scroll", "2", "--imax", "4"])
+    assert rc == 0
+    assert json.loads(out)["diagonal"] == ["1", "2", "1", "0", "0"]
 
 
 def test_oracle_plain_table(capsys):
@@ -179,6 +183,17 @@ def test_out_file_writing(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(path.read_text())
     assert obj["spec"] == {"blocks": [2, 2]}
+
+
+def test_text_output_honours_out(tmp_path, capsys):
+    cases = {"betti": (["--scroll", "3,3", "--max", "3"], "1 6 21 64\n"),
+             "hilbert": (["--scroll", "3,3", "--terms", "4"], "1 6 15 28 45\n"),
+             "faces": (["--scroll", "4,3"], "1 7 11 5\n")}
+    for cmd, (args, text) in cases.items():
+        assert run(capsys, [cmd] + args) == (0, text), cmd
+        path = tmp_path / f"{cmd}.txt"
+        assert run(capsys, [cmd] + args + ["--out", str(path)]) == (0, ""), cmd
+        assert path.read_bytes() == text.encode(), cmd
 
 
 def test_resolve_streams_reference_bytes_to_stdout_and_file(tmp_path, capsys):
