@@ -150,15 +150,20 @@ def check_complex(res: Resolution) -> CheckReport:
 
 
 def check_minimality(res: Resolution) -> CheckReport:
-    """No unit entries: every entry lies in the maximal ideal."""
+    """No unit entries: every entry lies in the maximal ideal.
+
+    Each distinct block of a step is checked once; the first unit entry
+    in the step's iteration order is reported at its position in the step.
+    """
     unit = (0,) * res.spec.n
     for idx, step in enumerate(res.steps):
-        for (r, c), e in step.entries.items():
-            if unit in e.terms:
-                return CheckReport(
-                    "minimal", str(res.spec), False,
-                    {"step": idx, "row": r, "col": c, "entry": str(e)},
-                )
+        hit = step.first(lambda e: unit in e.terms)
+        if hit is not None:
+            r, c, e = hit
+            return CheckReport(
+                "minimal", str(res.spec), False,
+                {"step": idx, "row": r, "col": c, "entry": str(e)},
+            )
     return CheckReport("minimal", str(res.spec), True,
                        {"steps_checked": len(res.steps)})
 

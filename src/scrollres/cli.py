@@ -21,6 +21,7 @@ import sys
 from .checks import (FAULT_KINDS, check_complex, check_exactness,
                      check_minimality, check_phi_ranks, groebner_consistency,
                      inject_fault, minor_certificate)
+from .linalg import MAX_MODULUS, is_prime
 from .oracle import betti_oracle, compare_with_formula
 from .resolution import Resolution, field_resolution
 from .scrolls import ScrollSpec, build_scroll
@@ -107,6 +108,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown check {c!r}; choose from {sorted(known)}")
     if not wanted or len(set(wanted)) < len(wanted):
         raise ValueError(f"--checks must name each check once, got {args.checks!r}")
+    if not (2 < args.modulus < MAX_MODULUS and is_prime(args.modulus)):
+        raise ValueError(f"--modulus must be a prime p with 2 < p < 2**26, got {args.modulus}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     res = field_resolution(spec, args.steps)
     if args.inject_fault:
         res = inject_fault(res, args.inject_fault)

@@ -12,9 +12,29 @@ Everything here is specific to k = 2.  Writing m, p for the block sizes
 The free resolutions of the ideals I1 = (x_1..x_m), I2 = (x_{m+1}..x_n)
 and J = I1 n I2 are assembled from these, and the resolution of the
 residue field is the mapping cone of the chain map alpha that lifts the
-inclusion J -> I1 (+) I2, shifted by the augmentation.  Every matrix
-that is made of blocks is assembled once, by `_assemble`, from a list of
-(row offset, column offset, block) pieces.
+inclusion J -> I1 (+) I2, shifted by the augmentation.
+
+Storage.  A matrix is either a leaf, whose entries are a dict
+{(row, col): Element}, or piece-stored: a tuple of non-overlapping
+(row offset, col offset, matrix) pieces, built by `_assemble` without
+copying an entry.  phi_i for i >= 1, the staircases, alpha_i for i >= 1,
+the ideal steps and the cone steps are piece-stored over shared nodes
+(the cached phi matrices, phi0, the u/v blocks, scalar identities), so a
+differential is a tree with few distinct nodes although its entries
+grow like (n-3)^i.  A piece-stored matrix's `entries` is a read-only
+view that lists entries in piece order; the consumers on the CLI's paths
+(the product, `eval_modp`, the writer, minimality) visit each distinct
+node once per call instead: `_arrays` gives a node's coordinate and value
+arrays, concatenated from its pieces' with their offsets.
+
+Products.  `A @ B` pairs pieces whose inner intervals (columns of A's
+piece, rows of B's) are equal, descending into piece-stored pieces where
+two intervals overlap otherwise, and multiplies each distinct pair of
+nodes once, recursively: phi_i @ phi_{i+1} comes down to products at the
+phi1 @ phi2 level.  Pairs that land on the same rectangle are summed by
+one join per distinct list of pairs.  Where a leaf would have to be cut,
+or two result rectangles overlap in part, the pair of nodes falls back
+to the join of their materialised entries (`_ProductRun.join`).
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -24,6 +44,7 @@ block pair exercised by the test suite).
 """
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -37,21 +58,24 @@ from .scrolls import ScrollSpec
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
-# (4,5) at step 7, rank 444,528: `resolve --out` peaks near 410 MB; step 8
-# has 6x the rank and would need ~6x the memory
-MAX_FREE_RANK = 10**6
+# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 800 MB and
+# `verify` near 570 MB, each in under 10 s; step 7 (rank 444,528) peaks near
+# 160 MB.  Step 9 has 6x the rank and would need ~6x the memory.
+MAX_FREE_RANK = 3 * 10**6
 
 
 class SparseMatrixR:
-    """A matrix over the scroll ring stored as {(row, col): Element}.
+    """A matrix over the scroll ring: a leaf {(row, col): Element}, or pieces.
 
     Indices are 0-based.  Zero elements are never stored; duplicate
-    positions are rejected at construction.  The cached constructors
-    (`phi0`, `phi1`, `phi2`, `phi`, `alpha`) hand out read-only entries;
-    `copy()` gives a writable matrix.
+    positions are rejected at construction.  A piece-stored matrix
+    (`pieces` is a tuple of (row offset, col offset, matrix)) has a
+    read-only `entries` view.  The cached constructors (`phi0`, `phi1`,
+    `phi2`, `phi`, `alpha`) hand out read-only entries; `copy()` gives a
+    writable leaf.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "pieces")
 
     def __init__(self, ring: ScrollRing, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -59,9 +83,10 @@ class SparseMatrixR:
         self.ring = ring
         self.rows = rows
         self.cols = cols
+        self.pieces = None
         self.entries: dict[tuple[int, int], Element] = {}
         if entries:
-            for (r, c), e in (entries.items() if isinstance(entries, dict) else entries):
+            for (r, c), e in (entries.items() if isinstance(entries, Mapping) else entries):
                 self.set(r, c, e)
 
     def set(self, r: int, c: int, e: Element) -> None:
@@ -85,95 +110,47 @@ class SparseMatrixR:
             and self.entries == other.entries
         )
 
-    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column index arrays, one per stored entry."""
-        flat = chain.from_iterable(self.entries)
-        return np.fromiter(flat, np.intp, 2 * len(self.entries)).reshape(-1, 2).T
-
     def __matmul__(self, other: "SparseMatrixR") -> "SparseMatrixR":
-        """The exact product; each distinct pair of entry values is multiplied once.
+        """The exact product, from the distinct products of aligned pieces.
 
-        Entries get value ids, a join on the inner index lists every
-        contribution (row, col, left value, right value), and the normal
-        form of each distinct value pair is expanded into its terms and
-        summed per (row, col, monomial).  The sums run over an object
-        array, so int and Fraction coefficients stay exact, and need no
-        second normal form: normal form is linear on standard monomials.
+        See the module docstring; the result equals the join of the two
+        materialised matrices entry for entry.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        value_ids: dict[frozenset, int] = {}
-        values: list[Element] = []
-
-        def intern(e: Element) -> int:
-            key = frozenset(e.terms.items())
-            if key not in value_ids:
-                value_ids[key] = len(values)
-                values.append(e)
-            return value_ids[key]
-
-        a_row, a_mid = self._coords()
-        a_val = _per_object(list(self.entries.values()), intern, np.intp)
-        b_mid, b_col = other._coords()
-        b_val = _per_object(list(other.entries.values()), intern, np.intp)
-        by_mid = np.argsort(b_mid, kind="stable")
-        b_mid, b_col, b_val = b_mid[by_mid], b_col[by_mid], b_val[by_mid]
-        lo = np.searchsorted(b_mid, a_mid, side="left")
-        width = np.searchsorted(b_mid, a_mid, side="right") - lo
-        left = np.repeat(np.arange(a_mid.size), width)
-        right = _ranges(lo, width)
-        pairs, pair_of = np.unique(a_val[left] * len(values) + b_val[right],
-                                   return_inverse=True)
-
-        monomials: dict[tuple, int] = {}
-        term_mono, term_coeff = [], []
-        term_start = np.zeros(pairs.size + 1, dtype=np.intp)
-        for j, pair in enumerate(pairs.tolist()):
-            prod = values[pair // len(values)] * values[pair % len(values)]
-            for mono, c in prod.terms.items():
-                term_mono.append(monomials.setdefault(mono, len(monomials)))
-                term_coeff.append(c)
-            term_start[j + 1] = len(term_mono)
-
-        n_terms = np.diff(term_start)[pair_of]
-        term = _ranges(term_start[:-1][pair_of], n_terms)
-        rows = np.repeat(a_row[left], n_terms)
-        cols = np.repeat(b_col[right], n_terms)
-        mono = np.array(term_mono, dtype=np.intp)[term]
-        coeff = np.array(term_coeff, dtype=object)[term]
-        order = np.lexsort((mono, cols, rows))
-        rows, cols, mono, coeff = rows[order], cols[order], mono[order], coeff[order]
-        new = np.ones(rows.size, dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]) | (mono[1:] != mono[:-1])
-        first = np.flatnonzero(new)
-        sums = np.add.reduceat(coeff, first)
-        nonzero = np.flatnonzero(sums != 0)
-
-        by_mono = list(monomials)
-        raw: dict[tuple[int, int], dict] = {}
-        for r, c, m, total in zip(rows[first[nonzero]].tolist(), cols[first[nonzero]].tolist(),
-                                  mono[first[nonzero]].tolist(), sums[nonzero]):
-            if isinstance(total, Fraction) and total.denominator == 1:
-                total = int(total)
-            raw.setdefault((r, c), {})[by_mono[m]] = total
-        out = SparseMatrixR(self.ring, self.rows, other.cols)
-        out.entries = {pos: Element(self.ring, terms) for pos, terms in raw.items()}
-        return out
+        return _ProductRun().product(self, other)
 
     def __neg__(self) -> "SparseMatrixR":
-        out = SparseMatrixR(self.ring, self.rows, self.cols)
-        out.entries = dict(zip(self.entries,
-                               _per_object(list(self.entries.values()), _negated, object)))
-        return out
+        """-self, sharing structure: each distinct node is negated once."""
+        def leaf(m):
+            return _leaf(m.ring, m.rows, m.cols,
+                         {pos: _negated(e) for pos, e in m.entries.items()})
+
+        def node(m, parts):
+            return _assemble(m.ring, m.rows, m.cols,
+                             [(r0, c0, part) for (r0, c0, _), part in zip(m.pieces, parts)])
+        return _per_node(self, leaf, node, {})
+
+    def first(self, pred) -> tuple[int, int, Element] | None:
+        """(row, col, entry) of the first entry in iteration order with pred(entry).
+
+        Each distinct node is searched once; None if no entry matches.
+        """
+        def leaf(m):
+            return next(((r, c, e) for (r, c), e in m.entries.items() if pred(e)), None)
+
+        def node(m, hits):
+            return next(((r0 + hit[0], c0 + hit[1], hit[2])
+                         for (r0, c0, _), hit in zip(m.pieces, hits) if hit), None)
+        return _per_node(self, leaf, node, {})
 
     def eval_modp(self, values: list[int], p: int) -> Entries:
         """The entries' images at x_i = values[i-1] mod p, one per entry.
 
-        Shared `Element` objects are evaluated once.
+        Each distinct node is visited, and each `Element` object
+        evaluated, once.
         """
-        rows, cols = self._coords()
-        vals = _per_object(list(self.entries.values()),
-                           lambda e: e.eval_modp(values, p), np.float64)
+        rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), np.float64, {})
         return Entries((self.rows, self.cols), rows, cols, vals)
 
     def _formatted(self, fn=str) -> tuple[list[int], list[int], list[str]]:
@@ -182,9 +159,8 @@ class SparseMatrixR:
         One lexsort orders the coordinates; fn runs once per distinct
         Element object, so shared entries are formatted once.
         """
-        rows, cols = self._coords()
+        rows, cols, texts = _arrays(self, fn, object, {})
         order = np.lexsort((cols, rows))
-        texts = _per_object(list(self.entries.values()), fn, object)
         return rows[order].tolist(), cols[order].tolist(), texts[order].tolist()
 
     def to_json_obj(self) -> dict:
@@ -199,8 +175,295 @@ class SparseMatrixR:
 
     def copy(self) -> "SparseMatrixR":
         out = SparseMatrixR(self.ring, self.rows, self.cols)
-        out.entries = dict(self.entries)
+        out.entries = dict(self.entries.items())
         return out
+
+
+class _PieceView(Mapping):
+    """The read-only {(row, col): Element} view of a piece-stored matrix.
+
+    Iteration walks the pieces in order, so entries come in the order a
+    copy of every piece into one dict would give; `len` and lookups
+    visit no entry.
+    """
+
+    __slots__ = ("_mat",)
+
+    def __init__(self, mat: SparseMatrixR):
+        self._mat = mat
+
+    def __len__(self) -> int:
+        return _per_node(self._mat, lambda m: len(m.entries), lambda m, sizes: sum(sizes), {})
+
+    def __iter__(self):
+        return (pos for pos, _ in _walk(self._mat, 0, 0))
+
+    def __getitem__(self, key):
+        mat, (r, c) = self._mat, key
+        while mat.pieces is not None:
+            for r0, c0, part in mat.pieces:
+                if r0 <= r < r0 + part.rows and c0 <= c < c0 + part.cols:
+                    mat, r, c = part, r - r0, c - c0
+                    break
+            else:
+                raise KeyError(key)
+        try:
+            return mat.entries[(r, c)]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return _walk(self._mapping._mat, 0, 0)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return (e for _, e in _walk(self._mapping._mat, 0, 0))
+
+
+def _walk(mat: SparseMatrixR, r0: int, c0: int):
+    """((row, col), entry) for each entry of mat offset by (r0, c0), in piece order."""
+    if mat.pieces is None:
+        for (r, c), e in mat.entries.items():
+            yield (r0 + r, c0 + c), e
+    else:
+        for pr, pc, part in mat.pieces:
+            yield from _walk(part, r0 + pr, c0 + pc)
+
+
+def _per_node(mat: SparseMatrixR, leaf, node, memo: dict):
+    """leaf(mat) for a leaf, else node(mat, [the result for each piece]).
+
+    Each distinct node is visited once per memo.
+    """
+    key = id(mat)
+    if key not in memo:
+        memo[key] = leaf(mat) if mat.pieces is None else \
+            node(mat, [_per_node(part, leaf, node, memo) for _, _, part in mat.pieces])
+    return memo[key]
+
+
+def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict):
+    """(rows, cols, fn(entry)) arrays of mat's entries, in iteration order.
+
+    fn runs once per distinct Element object; a piece-stored node
+    concatenates its pieces' arrays, each distinct node's built once per memo.
+    """
+    images: dict[int, object] = {}
+
+    def image(e):
+        key = id(e)
+        if key not in images:
+            images[key] = fn(e)
+        return images[key]
+
+    def leaf(m):
+        flat = np.fromiter(chain.from_iterable(m.entries), np.intp, 2 * len(m.entries))
+        rows, cols = flat.reshape(-1, 2).T
+        return rows, cols, np.array([image(e) for e in m.entries.values()], dtype=dtype)
+
+    def node(m, parts):
+        return (np.concatenate([r + r0 for (r0, _, _), (r, _, _) in zip(m.pieces, parts)]),
+                np.concatenate([c + c0 for (_, c0, _), (_, c, _) in zip(m.pieces, parts)]),
+                np.concatenate([v for _, _, v in parts]))
+    return _per_node(mat, leaf, node, memo)
+
+
+# a pair of nodes with fewer entries between them is joined whole: below
+# this, the fixed numpy cost of a join per piece pair exceeds the one join
+# (check_complex on (2,2) to step 3000, ~60 entries a step, takes ~1.8 s
+# with it and ~4 s without)
+_TILE_MIN_ENTRIES = 1000
+
+
+class _ProductRun:
+    """The memos of one `@`: value ids, node arrays, value-pair products, node products."""
+
+    def __init__(self):
+        self.value_ids: dict[frozenset, int] = {}
+        self.values: list[Element] = []
+        self.monomials: dict[tuple, int] = {}
+        self.node_arrays: dict = {}
+        self.expansions: dict[tuple[int, int], tuple[list, list]] = {}
+        self.products: dict[tuple, tuple] = {}
+
+    def intern(self, e: Element) -> int:
+        key = frozenset(e.terms.items())
+        if key not in self.value_ids:
+            self.value_ids[key] = len(self.values)
+            self.values.append(e)
+        return self.value_ids[key]
+
+    def product(self, a: SparseMatrixR, b: SparseMatrixR) -> SparseMatrixR:
+        """a @ b, once per distinct (a, b) pair of objects."""
+        key = (id(a), id(b))
+        if key not in self.products:
+            out = self.tiled(a, b)
+            if out is None:
+                out = self.join(a.rows, b.cols, [(a, b)])
+            self.products[key] = ((a, b), out)  # holding a, b keeps their ids unique
+        return self.products[key][1]
+
+    def tiled(self, a: SparseMatrixR, b: SparseMatrixR) -> SparseMatrixR | None:
+        """a @ b from the products of its aligned pieces; None if they do not align.
+
+        Each result rectangle gets the product of its one pair of pieces,
+        or one join over its several pairs; rectangles must be equal or
+        disjoint.  Empty products are left out.
+        """
+        if a.pieces is None or b.pieces is None:
+            return None  # a leaf spans the whole inner range: nothing to pair
+        if len(a.entries) + len(b.entries) < _TILE_MIN_ENTRIES:
+            return None
+        aligned = _aligned(list(a.pieces), list(b.pieces))
+        if aligned is None:
+            return None
+        left, right, pairs = aligned
+        groups: dict[tuple, list] = {}
+        for i, j in pairs:
+            r0, _, lhs = left[i]
+            _, c0, rhs = right[j]
+            groups.setdefault((r0, c0, lhs.rows, rhs.cols), []).append((lhs, rhs))
+        if len(groups) > 1:
+            r0, c0, h, w = np.array(list(groups)).T
+            meet = (np.maximum.outer(r0, r0) < np.minimum.outer(r0 + h, r0 + h)) \
+                & (np.maximum.outer(c0, c0) < np.minimum.outer(c0 + w, c0 + w))
+            if np.count_nonzero(meet) > np.count_nonzero(h * w):
+                return None  # two rectangles overlap in part
+        pieces = []
+        for (r0, c0, h, w), terms in groups.items():
+            if len(terms) == 1:
+                part = self.product(*terms[0])
+            else:
+                key = tuple((id(lhs), id(rhs)) for lhs, rhs in terms)
+                if key not in self.products:
+                    self.products[key] = (terms, self.join(h, w, terms))
+                part = self.products[key][1]
+            if part.pieces is not None or part.entries:
+                pieces.append((r0, c0, part))
+        if not pieces:
+            return SparseMatrixR(a.ring, a.rows, b.cols)
+        return _assemble(a.ring, a.rows, b.cols, pieces)
+
+    def join(self, n_rows: int, n_cols: int, terms: list) -> SparseMatrixR:
+        """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a join on value ids.
+
+        Entries get value ids, a join on the inner index lists every
+        contribution (row, col, left value, right value), and the normal
+        form of each distinct value pair is expanded into its terms and
+        summed per (row, col, monomial).  The sums run over an object
+        array, so int and Fraction coefficients stay exact, and need no
+        second normal form: normal form is linear on standard monomials.
+        """
+        found = []
+        for lhs, rhs in terms:
+            a_row, a_mid, a_val = _arrays(lhs, self.intern, np.intp, self.node_arrays)
+            b_mid, b_col, b_val = _arrays(rhs, self.intern, np.intp, self.node_arrays)
+            by_mid = np.argsort(b_mid, kind="stable")
+            b_mid, b_col, b_val = b_mid[by_mid], b_col[by_mid], b_val[by_mid]
+            lo = np.searchsorted(b_mid, a_mid, side="left")
+            width = np.searchsorted(b_mid, a_mid, side="right") - lo
+            left = np.repeat(np.arange(a_mid.size), width)
+            right = _ranges(lo, width)
+            found.append((a_row[left], b_col[right], a_val[left], b_val[right]))
+        a_row, b_col, a_val, b_val = (np.concatenate(f) for f in zip(*found))
+        nv = len(self.values)
+        pairs, pair_of = np.unique(a_val * nv + b_val, return_inverse=True)
+
+        term_mono, term_coeff = [], []
+        term_start = np.zeros(pairs.size + 1, dtype=np.intp)
+        for j, pair in enumerate(pairs.tolist()):
+            monos, coeffs = self.expansion(*divmod(pair, nv))
+            term_mono += monos
+            term_coeff += coeffs
+            term_start[j + 1] = len(term_mono)
+
+        n_terms = np.diff(term_start)[pair_of]
+        term = _ranges(term_start[:-1][pair_of], n_terms)
+        rows = np.repeat(a_row, n_terms)
+        cols = np.repeat(b_col, n_terms)
+        mono = np.array(term_mono, dtype=np.intp)[term]
+        coeff = np.array(term_coeff, dtype=object)[term]
+        order = np.lexsort((mono, cols, rows))
+        rows, cols, mono, coeff = rows[order], cols[order], mono[order], coeff[order]
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]) | (mono[1:] != mono[:-1])
+        first = np.flatnonzero(new)
+        sums = np.add.reduceat(coeff, first)
+        nonzero = np.flatnonzero(sums != 0)
+
+        by_mono = list(self.monomials)
+        raw: dict[tuple[int, int], dict] = {}
+        for r, c, m, total in zip(rows[first[nonzero]].tolist(), cols[first[nonzero]].tolist(),
+                                  mono[first[nonzero]].tolist(), sums[nonzero]):
+            if isinstance(total, Fraction) and total.denominator == 1:
+                total = int(total)
+            raw.setdefault((r, c), {})[by_mono[m]] = total
+        ring = terms[0][0].ring
+        return _leaf(ring, n_rows, n_cols, {pos: Element(ring, t) for pos, t in raw.items()})
+
+    def expansion(self, i: int, j: int) -> tuple[list, list]:
+        """Monomial ids and coefficients of values[i] * values[j], multiplied once."""
+        if (i, j) not in self.expansions:
+            prod = self.values[i] * self.values[j]
+            self.expansions[(i, j)] = (
+                [self.monomials.setdefault(m, len(self.monomials)) for m in prod.terms],
+                list(prod.terms.values()))
+        return self.expansions[(i, j)]
+
+
+def _aligned(left: list, right: list):
+    """(left, right, pairs) once inner intervals are equal or disjoint, else None.
+
+    left and right are (row offset, col offset, node) pieces; the inner
+    interval is a left piece's columns and a right piece's rows.  Where
+    two intervals overlap but differ, the larger piece-stored one of the
+    two is replaced by its own pieces; two leaves that overlap so give
+    None.  pairs lists the (left, right) indices of equal intervals.
+    """
+    while True:
+        a_lo = np.array([c0 for _, c0, _ in left], dtype=np.intp)
+        a_hi = a_lo + [m.cols for _, _, m in left]
+        b_lo = np.array([r0 for r0, _, _ in right], dtype=np.intp)
+        b_hi = b_lo + [m.rows for _, _, m in right]
+        meet = np.maximum.outer(a_lo, b_lo) < np.minimum.outer(a_hi, b_hi)
+        same = (a_lo[:, None] == b_lo) & (a_hi[:, None] == b_hi)
+        clash = np.nonzero(meet & ~same)
+        if not clash[0].size:
+            return left, right, zip(*np.nonzero(meet))
+        split_left, split_right = set(), set()
+        for i, j in zip(*clash):
+            lhs, rhs = left[i][2], right[j][2]
+            if rhs.pieces is not None and (lhs.pieces is None or rhs.rows >= lhs.cols):
+                split_right.add(j)
+            elif lhs.pieces is not None:
+                split_left.add(i)
+            else:
+                return None
+        left, right = _split(left, split_left), _split(right, split_right)
+
+
+def _split(pieces: list, which: set) -> list:
+    """pieces with each one whose index is in which replaced by its own pieces."""
+    out = []
+    for k, (r0, c0, mat) in enumerate(pieces):
+        if k in which:
+            out += [(r0 + pr, c0 + pc, part) for pr, pc, part in mat.pieces]
+        else:
+            out.append((r0, c0, mat))
+    return out
 
 
 # the five lines json.dumps(indent=2) gives a [row, col, "entry"] list
@@ -216,13 +479,6 @@ def _write_entries(fh, template: str, sep: str, fields) -> None:
         hi = lo + _WRITE_CHUNK
         fh.write((sep if lo else "") + sep.join(
             map(template.__mod__, zip(rows[lo:hi], cols[lo:hi], texts[lo:hi]))))
-
-
-def _per_object(elements: list, fn, dtype) -> np.ndarray:
-    """fn(e) for each element as an array, calling fn once per distinct object."""
-    ids = np.fromiter(map(id, elements), dtype=np.uintp, count=len(elements))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return np.array([fn(elements[i]) for i in first.tolist()], dtype=dtype)[inverse]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -249,16 +505,21 @@ def _shared(build):
     return cached
 
 
-def _assemble(ring: ScrollRing, rows: int, cols: int, pieces) -> SparseMatrixR:
-    """A rows x cols matrix from (row offset, col offset, matrix) pieces.
+def _leaf(ring: ScrollRing, rows: int, cols: int, entries: dict) -> SparseMatrixR:
+    """A leaf holding the given {(row, col): nonzero Element} dict itself."""
+    out = SparseMatrixR(ring, rows, cols)
+    out.entries = entries
+    return out
 
-    Each entry of each piece is copied once; pieces must not overlap.
+
+def _assemble(ring: ScrollRing, rows: int, cols: int, pieces) -> SparseMatrixR:
+    """A rows x cols matrix stored as its (row offset, col offset, matrix) pieces.
+
+    The pieces are shared, not copied; they must not overlap.
     """
     out = SparseMatrixR(ring, rows, cols)
-    entries = out.entries
-    for r0, c0, mat in pieces:
-        for (r, c), e in mat.entries.items():
-            entries[(r0 + r, c0 + c)] = e
+    out.pieces = tuple(pieces)
+    out.entries = _PieceView(out)
     return out
 
 
@@ -277,15 +538,19 @@ def _stairs(block: SparseMatrixR, d: int, r0: int = 0, c0: int = 0) -> list:
 
 def _row(ring: ScrollRing, elems: list[Element]) -> SparseMatrixR:
     """The 1 x len(elems) matrix of the given entries."""
-    out = SparseMatrixR(ring, 1, len(elems))
-    out.entries = {(0, c): e for c, e in enumerate(elems)}
-    return out
+    return _leaf(ring, 1, len(elems), {(0, c): e for c, e in enumerate(elems)})
 
 
 def direct_sum(mats: list[SparseMatrixR]) -> SparseMatrixR:
-    """The block-diagonal matrix of mats, first one top left; mats must be non-empty."""
+    """The block-diagonal matrix of mats, first one top left; mats must be non-empty.
+
+    The sum of one matrix is that matrix: for blocks (2,2) phi_i is
+    phi_{i-2}, and nesting it would make trees as deep as the resolution.
+    """
     if not mats:
         raise ValueError("direct sum of nothing")
+    if len(mats) == 1:
+        return mats[0]
     return _assemble(mats[0].ring, sum(m.rows for m in mats), sum(m.cols for m in mats),
                      _diagonal(mats))
 
@@ -339,18 +604,18 @@ def phi1(spec: ScrollSpec) -> SparseMatrixR:
     m, p, n = spec.m, spec.p, spec.n
     w = n - 2
     f0 = phi0(spec)
-    out = _assemble(ring, w, w * (n - 3),
-                    _stairs(f0, m - 1) + _stairs(f0, p - 1, m - 1, (m - 1) * w))
-    mid0 = (m - 2) * w
+    band = {}
     for r in range(m - 1):
-        out.entries[(r, mid0 + r)] = ring.var_elem(m + 1, 1)
+        band[(r, r)] = ring.var_elem(m + 1, 1)
     for l in range(1, p):
-        out.entries[(m - 2, mid0 + m - 2 + l)] = ring.var_elem(m + 1 + l, 1)
+        band[(m - 2, m - 2 + l)] = ring.var_elem(m + 1 + l, 1)
     for c in range(1, m):
-        out.entries[(m - 1, mid0 + c - 1)] = ring.var_elem(c, -1)
+        band[(m - 1, c - 1)] = ring.var_elem(c, -1)
     for r in range(1, p):
-        out.entries[(m - 2 + r, mid0 + m - 2 + r)] = ring.var_elem(m, -1)
-    return out
+        band[(m - 2 + r, m - 2 + r)] = ring.var_elem(m, -1)
+    return _assemble(ring, w, w * (n - 3),
+                     _stairs(f0, m - 1) + _stairs(f0, p - 1, m - 1, (m - 1) * w)
+                     + [(0, (m - 2) * w, _leaf(ring, w, w, MappingProxyType(band)))])
 
 
 def u_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
@@ -432,7 +697,9 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
     """Chain map lifting the inclusion of J into I1 (+) I2.
 
     alpha_0 is the n x (n-1) two-band matrix; for i >= 1 alpha_i is the
-    diagonal x_{m+1} / -x_m square matrix split by the I1/I2 summands.
+    diagonal x_{m+1} / -x_m square matrix split by the I1/I2 summands,
+    stored as m-1 and then p-1 scalar identities the size of phi_i's rows,
+    so its tiles line up with the phi copies of both neighbouring steps.
     """
     _require_two_blocks(spec)
     ring = ring_for(spec)
@@ -450,16 +717,17 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
         for r in range(2, p + 1):
             out.entries[(m + r - 1, m + r - 2)] = ring.var_elem(m, -1)
         return out
-    top = (m - 1) * (n - 2) * (n - 3) ** (i - 1)
-    bot = (p - 1) * (n - 2) * (n - 3) ** (i - 1)
-    out = SparseMatrixR(ring, top + bot, top + bot)
-    xm1 = ring.var_elem(m + 1, 1)
-    xm = ring.var_elem(m, -1)
-    for r in range(top):
-        out.entries[(r, r)] = xm1
-    for r in range(bot):
-        out.entries[(top + r, top + r)] = xm
-    return out
+    w = (n - 2) * (n - 3) ** (i - 1)  # the rows of phi_i
+    return direct_sum([_scalar_identity(spec, m + 1, 1, w)] * (m - 1)
+                      + [_scalar_identity(spec, m, -1, w)] * (p - 1))
+
+
+@_shared
+def _scalar_identity(spec: ScrollSpec, flat: int, sign: int, size: int) -> SparseMatrixR:
+    """sign * x_flat times the size x size identity."""
+    ring = ring_for(spec)
+    e = ring.var_elem(flat, sign)
+    return _leaf(ring, size, size, {(r, r): e for r in range(size)})
 
 
 @dataclass
@@ -596,7 +864,7 @@ def field_resolution(spec: ScrollSpec, steps: int) -> Resolution:
     if top > MAX_FREE_RANK:
         raise ValueError(
             f"resource guard: the free module at step {steps} has rank {top}, "
-            "above the supported 10**6"
+            "above the supported 3 * 10**6"
         )
     mats, prov = [], []
     for i in range(1, steps + 1):

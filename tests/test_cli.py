@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from scrollres.cli import main
 from scrollres.resolution import field_resolution
 from scrollres.scrolls import build_scroll
@@ -80,8 +82,8 @@ def test_bad_scroll_is_usage_error(capsys):
                  ["oracle", "--scroll", "3,3", "--format", "text"],
                  ["verify", "--scroll", "3,3", "--checks", ","],
                  ["verify", "--scroll", "3,3", "--checks", "exact,exact"],
-                 ["resolve", "--scroll", "4,5", "--steps", "8"],
-                 ["verify", "--scroll", "4,5", "--steps", "8"]):
+                 ["resolve", "--scroll", "4,5", "--steps", "9"],
+                 ["verify", "--scroll", "4,5", "--steps", "9"]):
         rc, out = run(capsys, argv)
         assert (rc, out) == (2, ""), argv
 
@@ -108,6 +110,40 @@ def test_modulus_beyond_exact_range_is_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "2**26" in captured.err
+
+
+def refuse_builds(monkeypatch):
+    """Make building a resolution in the CLI fail the test."""
+    import scrollres.cli as cli
+
+    def boom(spec, steps):
+        raise AssertionError("the resolution was built")
+    monkeypatch.setattr(cli, "field_resolution", boom)
+
+
+def test_verify_refuses_modulus_that_is_not_a_usable_prime(capsys, monkeypatch):
+    refuse_builds(monkeypatch)
+    for checks in ("complex", "minors", "complex,minimal,exact"):
+        for modulus in ("4", "2", "1", "-7", "32004", str(2**26 + 15)):
+            argv = ["verify", "--scroll", "3,3", "--steps", "3", "--checks", checks,
+                    "--modulus", modulus]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: --modulus must be a prime p with "
+                                    f"2 < p < 2**26, got {modulus}\n")
+
+
+def test_verify_refuses_trials_below_one(capsys, monkeypatch):
+    refuse_builds(monkeypatch)
+    for checks in ("complex", "minimal,minors", "exact"):
+        for trials in ("-3", "0"):
+            argv = ["verify", "--scroll", "3,3", "--steps", "3", "--checks", checks,
+                    "--trials", trials]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
 
 def test_verify_passes_and_reports(capsys):
@@ -216,7 +252,7 @@ def test_resolve_streams_reference_bytes_to_stdout_and_file(tmp_path, capsys):
 
 def test_refused_resolve_leaves_no_file(tmp_path, capsys):
     path = tmp_path / "F"
-    rc = main(["resolve", "--scroll", "4,5", "--steps", "8", "--out", str(path)])
+    rc = main(["resolve", "--scroll", "4,5", "--steps", "9", "--out", str(path)])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
@@ -255,3 +291,48 @@ def test_reader_closing_stdout_early_is_not_an_error():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch):
+    """exact and export work on distinct blocks: no step's entries are listed."""
+    import scrollres.cli as cli
+    from scrollres import resolution
+
+    steps = set()
+
+    def recording(spec, n):
+        res = field_resolution(spec, n)
+        steps.update(id(s) for s in res.steps if s.pieces is not None)
+        return res
+
+    def walk(mat, r0, c0):
+        if id(mat) in steps:
+            raise AssertionError("a piece-stored step was iterated")
+        return real_walk(mat, r0, c0)
+
+    joins = []
+
+    def join(run, rows, cols, terms):
+        joins.append(sum(len(a.entries) + len(b.entries) for a, b in terms))
+        return real_join(run, rows, cols, terms)
+
+    real_walk, real_join = resolution._walk, resolution._ProductRun.join
+    monkeypatch.setattr(cli, "field_resolution", recording)
+    monkeypatch.setattr(resolution, "_walk", walk)
+    monkeypatch.setattr(resolution._ProductRun, "join", join)
+    exact = ["verify", "--scroll", "4,5", "--steps", "6",
+             "--checks", "complex,minimal,minors"]
+    rc, out = run(capsys, exact)
+    assert rc == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"
+    assert len(steps) == 5  # every step but the first is piece-stored
+    # the largest join, over both factors, is a cone coupling at step 5 @ step 6;
+    # the join of the whole two steps would hold 195,510 entries
+    assert 0 < max(joins) <= 39000
+    steps.clear()
+    path = tmp_path / "export.json"
+    assert main(["resolve", "--scroll", "4,5", "--steps", "6", "--format", "json",
+                 "--out", str(path)]) == 0
+    assert len(steps) == 5
+    assert json.loads(path.read_text())["ranks"][-1] == "74088"
+    with pytest.raises(AssertionError, match="iterated"):  # the guard works
+        dict(recording(build_scroll([4, 5]), 3).steps[-1].entries.items())

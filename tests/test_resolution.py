@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scrollres.checks import (FAULT_KINDS, check_complex, inject_fault,
-                              scroll_point)
+from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
+                              inject_fault, scroll_point)
 from scrollres.ring import ring_for
-from scrollres.resolution import (Resolution, SparseMatrixR, alpha, direct_sum,
-                                  field_resolution, phi, phi0, phi1, phi2,
-                                  resolution_of, staircase, u_block, v_block)
+from scrollres.resolution import (MAX_FREE_RANK, Resolution, SparseMatrixR,
+                                  _assemble, alpha, direct_sum, field_resolution,
+                                  phi, phi0, phi1, phi2, resolution_of, staircase,
+                                  u_block, v_block)
 from scrollres.scrolls import build_scroll
 from scrollres.series import betti
 
@@ -20,6 +21,7 @@ S33 = build_scroll([3, 3])
 S43 = build_scroll([4, 3])
 S44 = build_scroll([4, 4])
 S34 = build_scroll([3, 4])
+S45 = build_scroll([4, 5])
 
 
 def mat_from(spec, rows, cols, entries):
@@ -501,8 +503,10 @@ def test_eval_modp_one_value_per_entry():
 
 
 def test_field_resolution_size_guard():
-    with pytest.raises(ValueError, match="10\\*\\*6"):
-        field_resolution(build_scroll([4, 5]), 8)
+    # step 8 of (4,5), rank 2,667,168, is accepted; step 9 is refused
+    assert betti(S45, 8) <= MAX_FREE_RANK < betti(S45, 9)
+    with pytest.raises(ValueError, match="rank 16003008, above the supported 3 \\* 10\\*\\*6"):
+        field_resolution(S45, 9)
 
 
 def test_resolution_rejects_bad_chain():
@@ -677,3 +681,134 @@ def test_negated_entries_share_objects():
     values = {e for step in res.steps for e in step.entries.values()}
     assert len(values) == 18
     assert len(objects) <= 2 * len(values)
+
+
+def assemble_reference(mat):
+    """mat's entries copied piece by piece into one dict, as `_assemble` once did."""
+    if mat.pieces is None:
+        return dict(mat.entries)
+    out = {}
+    for r0, c0, part in mat.pieces:
+        for (r, c), e in assemble_reference(part).items():
+            out[(r0 + r, c0 + c)] = e
+    return out
+
+
+@pytest.mark.parametrize("blocks", [(2, 5), (4, 3), (5, 4)])
+def test_piece_view_and_arrays_match_the_copy(blocks):
+    spec = build_scroll(blocks)
+    ring = ring_for(spec)
+    mats = field_resolution(spec, 5).steps + [phi(spec, i) for i in range(5)] \
+        + [alpha(spec, i) for i in range(4)]
+    p = 32003
+    vals = scroll_point(spec, random.Random(len(blocks)), p)
+    for mat in mats:
+        ref = assemble_reference(mat)
+        assert list(mat.entries.items()) == list(ref.items())
+        assert list(mat.entries) == list(ref)
+        assert list(mat.entries.values()) == list(ref.values())
+        assert len(mat.entries) == len(ref)
+        assert mat.entries == ref and ref == dict(mat.entries.items())
+        assert mat == SparseMatrixR(ring, mat.rows, mat.cols, ref)
+        assert all(mat.entries[pos] is e and pos in mat.entries for pos, e in ref.items())
+        outside = [(r, c) for r in range(min(mat.rows, 6)) for c in range(min(mat.cols, 6))
+                   if (r, c) not in ref]
+        assert not any(pos in mat.entries for pos in outside)
+        copied = mat.copy()
+        assert type(copied.entries) is dict
+        assert list(copied.entries.items()) == list(ref.items())
+        assert copied == mat
+        a = mat.eval_modp(vals, p)
+        assert sorted(zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist())) == \
+            sorted((r, c, e.eval_modp(vals, p)) for (r, c), e in ref.items())
+
+
+def test_piece_stored_entries_are_read_only():
+    step = field_resolution(S43, 4).steps[3]
+    assert step.pieces is not None
+    with pytest.raises(TypeError):
+        step.entries[(0, 0)] = ring_for(S43).one()
+    with pytest.raises(KeyError):
+        step.entries[(step.rows - 1, 0)]
+    with pytest.raises(TypeError):
+        step.set(step.rows - 1, 0, ring_for(S43).one())
+
+
+def with_piece(step, k, part):
+    """step with its k-th top-level piece replaced by part."""
+    pieces = list(step.pieces)
+    r0, c0, _ = pieces[k]
+    pieces[k] = (r0, c0, part)
+    return _assemble(step.ring, step.rows, step.cols, pieces)
+
+
+def third_phi2_copy(step):
+    """Index of the third top-level copy of -phi2 in step 5 of a field resolution."""
+    copies = [k for k, (_, _, part) in enumerate(step.pieces)
+              if (part.rows, part.cols) == (phi2(S45).rows, phi2(S45).cols)]
+    assert len(copies) == S45.n - 2
+    return copies[2]
+
+
+def faulty_copy(step, k, mutate):
+    """A leaf copy of step's k-th piece with its middle entry replaced by mutate(entry)."""
+    leaf = step.pieces[k][2].copy()
+    pos, e = sorted(leaf.entries.items())[len(leaf.entries) // 2]
+    leaf.entries[pos] = mutate(e)
+    return leaf
+
+
+def materialised(res):
+    return Resolution(res.spec, res.target, [s.copy() for s in res.steps],
+                      list(res.ranks), list(res.provenance))
+
+
+def test_fault_in_one_copy_of_a_repeated_tile_is_found():
+    res = field_resolution(S45, 6)
+    step5 = res.steps[4]
+    k = third_phi2_copy(step5)
+    bad5 = with_piece(step5, k, faulty_copy(step5, k, lambda e: -e))
+    steps = res.steps[:4] + [bad5, res.steps[5]]
+    bad = Resolution(S45, "field", steps, list(res.ranks))
+    report = check_complex(bad)
+    want = check_complex(materialised(bad))  # one join on whole dict-backed steps
+    assert not report.ok and report.details == want.details
+    assert report.details["pair"] == (3, 4)
+    # the copy meets phi3 of step 6 in a product of its own
+    tail = Resolution(S45, "field", [bad5, res.steps[5]], res.ranks[4:])
+    report = check_complex(tail)
+    want = check_complex(materialised(tail))
+    assert not report.ok and report.details == want.details
+
+
+def test_unit_in_one_copy_of_a_repeated_tile_is_found():
+    res = field_resolution(S45, 5)
+    step5 = res.steps[4]
+    k = third_phi2_copy(step5)
+    one = ring_for(S45).one()
+    bad = Resolution(S45, "field", res.steps[:4] + [
+        with_piece(step5, k, faulty_copy(step5, k, lambda e: one))], list(res.ranks))
+    report = check_minimality(bad)
+    unit = (0,) * S45.n
+    first = next(((idx, r, c, e) for idx, step in enumerate(bad.steps)
+                  for (r, c), e in assemble_reference(step).items() if unit in e.terms))
+    assert not report.ok
+    assert report.details == {"step": first[0], "row": first[1], "col": first[2],
+                              "entry": str(first[3])}
+    assert report.details["step"] == 4 and report.details["row"] >= step5.pieces[k][0]
+
+
+@pytest.mark.parametrize("blocks", [(6, 6), (3, 7)])
+def test_overlapping_result_rectangles_fall_back_to_the_join(blocks):
+    """In step 2 @ step 3, alpha_0's product spans the phi0 couplings' rectangles."""
+    spec = build_scroll(blocks)
+    res = field_resolution(spec, 3)
+    d2, d3 = res.steps[1], res.steps[2]
+    assert len(d2.entries) + len(d3.entries) >= 1000  # large enough to be tiled
+    assert not (d2 @ d3).entries
+    k = next(k for k, (_, _, part) in enumerate(d2.pieces) if part is alpha(spec, 0))
+    bad = with_piece(d2, k, faulty_copy(d2, k, lambda e: -e))
+    got = bad @ d3
+    want = bad.copy() @ d3.copy()  # one join on whole dict-backed matrices
+    assert got.entries and got == want
+    assert exact_form(got) == exact_form(want)
