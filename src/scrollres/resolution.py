@@ -15,26 +15,31 @@ residue field is the mapping cone of the chain map alpha that lifts the
 inclusion J -> I1 (+) I2, shifted by the augmentation.
 
 Storage.  A matrix is either a leaf, whose entries are a dict
-{(row, col): Element}, or piece-stored: a tuple of non-overlapping
-(row offset, col offset, matrix) pieces, built by `_assemble` without
-copying an entry.  phi_i for i >= 1, the staircases, alpha_i for i >= 1,
-the ideal steps and the cone steps are piece-stored over shared nodes
-(the cached phi matrices, phi0, the u/v blocks, scalar identities), so a
-differential is a tree with few distinct nodes although its entries
-grow like (n-3)^i.  A piece-stored matrix's `entries` is a read-only
-view that lists entries in piece order; the consumers on the CLI's paths
-(the product, `eval_modp`, the writer, minimality) visit each distinct
-node once per call instead: `_arrays` gives a node's coordinate and value
-arrays, concatenated from its pieces' with their offsets.
+{(row, col): Element}, or a grid: row block starts, column block starts
+and a {(i, j): block} dict, each block filling its cell and shared, not
+copied (`_grid`).  phi_i for i >= 2, alpha_i for i >= 1, the ideal steps
+and the cone steps are grids over shared nodes (the cached phi matrices,
+the u/v blocks, scalar identities), so a differential is a tree with few
+distinct nodes although its entries grow like (n-3)^i.  phi0, phi1 and
+the staircases are leaves.  The layout follows the mapping cone: a
+direct sum is a diagonal grid, phi_i (i >= 3) is the direct sum of its
+three runs of copies, phi2's column bands are phi3's runs, and cone step
+i >= 3 is the 2 x 2 grid [I1 (+) I2 copies | alpha_{i-2}; 0 | -J copies].
+So, from phi2 and cone step 3 on, the column blocks of one differential
+are the row blocks of the next, at every level down to phi1.  A grid's
+`entries` is a read-only view that lists entries in block order; the
+consumers on the CLI's paths (the product, `eval_modp`, the writer,
+minimality) visit each distinct node once per call instead: `_arrays`
+gives a node's coordinate and value arrays, concatenated from its
+blocks' with their offsets.
 
-Products.  `A @ B` pairs pieces whose inner intervals (columns of A's
-piece, rows of B's) are equal, descending into piece-stored pieces where
-two intervals overlap otherwise, and multiplies each distinct pair of
-nodes once, recursively: phi_i @ phi_{i+1} comes down to products at the
-phi1 @ phi2 level.  Pairs that land on the same rectangle are summed by
-one join per distinct list of pairs.  Where a leaf would have to be cut,
-or two result rectangles overlap in part, the pair of nodes falls back
-to the join of their materialised entries (`_ProductRun.join`).
+Products.  `A @ B` is block multiplication: where both factors are grids
+and A's column starts are B's row starts, block (i, k) of the product is
+the sum over j of A[i, j] @ B[j, k], computed the same way, once per
+distinct list of (left, right) pairs.  phi_i @ phi_{i+1} so comes down
+to products at the phi1 @ phi2 level.  A leaf, blocks that do not line
+up, or fewer than _TILE_MIN_ENTRIES entries in all give one join of the
+materialised entries of the pairs (`_ProductRun.join`).
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -44,11 +49,12 @@ block pair exercised by the test suite).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 
 import numpy as np
@@ -58,24 +64,29 @@ from .scrolls import ScrollSpec
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
-# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 800 MB and
+# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 390 MB and
 # `verify` near 570 MB, each in under 10 s; step 7 (rank 444,528) peaks near
-# 160 MB.  Step 9 has 6x the rank and would need ~6x the memory.
+# 90 MB.  Step 9 has 6x the rank and would need ~6x the memory.
 MAX_FREE_RANK = 3 * 10**6
+# the rank guard cannot bound blocks (2,2), where beta_i = 8 for every
+# i >= 3; every other scroll stops by step 19.  (2,2) at 5000 steps:
+# `resolve --out` 1.5 s and 7.0 MB written, `verify --checks complex,minimal`
+# 3.8 s, both under 50 MB peak RSS; both grow linearly in the steps.
+MAX_STEPS = 5000
 
 
 class SparseMatrixR:
-    """A matrix over the scroll ring: a leaf {(row, col): Element}, or pieces.
+    """A matrix over the scroll ring: a leaf {(row, col): Element}, or a grid.
 
     Indices are 0-based.  Zero elements are never stored; duplicate
-    positions are rejected at construction.  A piece-stored matrix
-    (`pieces` is a tuple of (row offset, col offset, matrix)) has a
-    read-only `entries` view.  The cached constructors (`phi0`, `phi1`,
-    `phi2`, `phi`, `alpha`) hand out read-only entries; `copy()` gives a
-    writable leaf.
+    positions are rejected at construction.  A grid (`blocks` is a
+    {(i, j): matrix} dict, block (i, j) starting at row_starts[i],
+    col_starts[j]) has a read-only `entries` view; a leaf's `blocks` is
+    None.  The cached constructors (`phi0`, `phi1`, `phi2`, `phi`,
+    `alpha`) hand out read-only entries; `copy()` gives a writable leaf.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries", "pieces")
+    __slots__ = ("ring", "rows", "cols", "entries", "row_starts", "col_starts", "blocks")
 
     def __init__(self, ring: ScrollRing, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -83,7 +94,7 @@ class SparseMatrixR:
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.pieces = None
+        self.row_starts = self.col_starts = self.blocks = None
         self.entries: dict[tuple[int, int], Element] = {}
         if entries:
             for (r, c), e in (entries.items() if isinstance(entries, Mapping) else entries):
@@ -111,14 +122,14 @@ class SparseMatrixR:
         )
 
     def __matmul__(self, other: "SparseMatrixR") -> "SparseMatrixR":
-        """The exact product, from the distinct products of aligned pieces.
+        """The exact product, by block multiplication where the grids line up.
 
         See the module docstring; the result equals the join of the two
         materialised matrices entry for entry.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return _ProductRun().product(self, other)
+        return _ProductRun().product(((self, other),))
 
     def __neg__(self) -> "SparseMatrixR":
         """-self, sharing structure: each distinct node is negated once."""
@@ -127,8 +138,8 @@ class SparseMatrixR:
                          {pos: _negated(e) for pos, e in m.entries.items()})
 
         def node(m, parts):
-            return _assemble(m.ring, m.rows, m.cols,
-                             [(r0, c0, part) for (r0, c0, _), part in zip(m.pieces, parts)])
+            return _grid(m.ring, _sizes(m.row_starts, m.rows), _sizes(m.col_starts, m.cols),
+                         dict(zip(m.blocks, parts)))
         return _per_node(self, leaf, node, {})
 
     def first(self, pred) -> tuple[int, int, Element] | None:
@@ -140,8 +151,8 @@ class SparseMatrixR:
             return next(((r, c, e) for (r, c), e in m.entries.items() if pred(e)), None)
 
         def node(m, hits):
-            return next(((r0 + hit[0], c0 + hit[1], hit[2])
-                         for (r0, c0, _), hit in zip(m.pieces, hits) if hit), None)
+            return next(((m.row_starts[i] + hit[0], m.col_starts[j] + hit[1], hit[2])
+                         for (i, j), hit in zip(m.blocks, hits) if hit), None)
         return _per_node(self, leaf, node, {})
 
     def eval_modp(self, values: list[int], p: int) -> Entries:
@@ -153,25 +164,25 @@ class SparseMatrixR:
         rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), np.float64, {})
         return Entries((self.rows, self.cols), rows, cols, vals)
 
-    def _formatted(self, fn=str) -> tuple[list[int], list[int], list[str]]:
-        """Rows, columns and fn(entry) in (row, col) order.
+    def _formatted(self, fn=str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and fn(entry) arrays in (row, col) order.
 
         One lexsort orders the coordinates; fn runs once per distinct
         Element object, so shared entries are formatted once.
         """
         rows, cols, texts = _arrays(self, fn, object, {})
         order = np.lexsort((cols, rows))
-        return rows[order].tolist(), cols[order].tolist(), texts[order].tolist()
+        return rows[order], cols[order], texts[order]
 
     def to_json_obj(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [list(t) for t in zip(*self._formatted())],
+            "entries": [list(t) for t in zip(*(a.tolist() for a in self._formatted()))],
         }
 
     def to_text_lines(self) -> list[str]:
-        return [f"{r} {c} {t}" for r, c, t in zip(*self._formatted())]
+        return [f"{r} {c} {t}" for r, c, t in zip(*(a.tolist() for a in self._formatted()))]
 
     def copy(self) -> "SparseMatrixR":
         out = SparseMatrixR(self.ring, self.rows, self.cols)
@@ -179,11 +190,11 @@ class SparseMatrixR:
         return out
 
 
-class _PieceView(Mapping):
-    """The read-only {(row, col): Element} view of a piece-stored matrix.
+class _GridView(Mapping):
+    """The read-only {(row, col): Element} view of a grid.
 
-    Iteration walks the pieces in order, so entries come in the order a
-    copy of every piece into one dict would give; `len` and lookups
+    Iteration walks the blocks in order, so entries come in the order a
+    copy of every block into one dict would give; `len` and lookups
     visit no entry.
     """
 
@@ -200,13 +211,13 @@ class _PieceView(Mapping):
 
     def __getitem__(self, key):
         mat, (r, c) = self._mat, key
-        while mat.pieces is not None:
-            for r0, c0, part in mat.pieces:
-                if r0 <= r < r0 + part.rows and c0 <= c < c0 + part.cols:
-                    mat, r, c = part, r - r0, c - c0
-                    break
-            else:
+        if not (0 <= r < mat.rows and 0 <= c < mat.cols):
+            raise KeyError(key)
+        while mat.blocks is not None:  # blocks fill their cells: (r, c) stays inside
+            i, j = bisect_right(mat.row_starts, r) - 1, bisect_right(mat.col_starts, c) - 1
+            if (i, j) not in mat.blocks:
                 raise KeyError(key)
+            mat, r, c = mat.blocks[i, j], r - mat.row_starts[i], c - mat.col_starts[j]
         try:
             return mat.entries[(r, c)]
         except KeyError:
@@ -234,32 +245,32 @@ class _Values(ValuesView):
 
 
 def _walk(mat: SparseMatrixR, r0: int, c0: int):
-    """((row, col), entry) for each entry of mat offset by (r0, c0), in piece order."""
-    if mat.pieces is None:
+    """((row, col), entry) for each entry of mat offset by (r0, c0), in block order."""
+    if mat.blocks is None:
         for (r, c), e in mat.entries.items():
             yield (r0 + r, c0 + c), e
     else:
-        for pr, pc, part in mat.pieces:
-            yield from _walk(part, r0 + pr, c0 + pc)
+        for (i, j), part in mat.blocks.items():
+            yield from _walk(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
 
 
 def _per_node(mat: SparseMatrixR, leaf, node, memo: dict):
-    """leaf(mat) for a leaf, else node(mat, [the result for each piece]).
+    """leaf(mat) for a leaf, else node(mat, [the result for each block]).
 
     Each distinct node is visited once per memo.
     """
     key = id(mat)
     if key not in memo:
-        memo[key] = leaf(mat) if mat.pieces is None else \
-            node(mat, [_per_node(part, leaf, node, memo) for _, _, part in mat.pieces])
+        memo[key] = leaf(mat) if mat.blocks is None else \
+            node(mat, [_per_node(part, leaf, node, memo) for part in mat.blocks.values()])
     return memo[key]
 
 
 def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict):
     """(rows, cols, fn(entry)) arrays of mat's entries, in iteration order.
 
-    fn runs once per distinct Element object; a piece-stored node
-    concatenates its pieces' arrays, each distinct node's built once per memo.
+    fn runs once per distinct Element object; a grid concatenates its
+    blocks' arrays, each distinct node's built once per memo.
     """
     images: dict[int, object] = {}
 
@@ -275,16 +286,17 @@ def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict):
         return rows, cols, np.array([image(e) for e in m.entries.values()], dtype=dtype)
 
     def node(m, parts):
-        return (np.concatenate([r + r0 for (r0, _, _), (r, _, _) in zip(m.pieces, parts)]),
-                np.concatenate([c + c0 for (_, c0, _), (_, c, _) in zip(m.pieces, parts)]),
+        offsets = [(m.row_starts[i], m.col_starts[j]) for i, j in m.blocks]
+        return (np.concatenate([r + r0 if r0 else r for (r0, _), (r, _, _) in zip(offsets, parts)]),
+                np.concatenate([c + c0 if c0 else c for (_, c0), (_, c, _) in zip(offsets, parts)]),
                 np.concatenate([v for _, _, v in parts]))
     return _per_node(mat, leaf, node, memo)
 
 
-# a pair of nodes with fewer entries between them is joined whole: below
-# this, the fixed numpy cost of a join per piece pair exceeds the one join
-# (check_complex on (2,2) to step 3000, ~60 entries a step, takes ~1.8 s
-# with it and ~4 s without)
+# pairs of nodes with fewer entries between them are joined whole: below
+# this, the fixed numpy cost of a join per block pair exceeds the one join
+# (check_complex on (2,2) to step 3000, ~60 entries a step, takes ~1.7 s
+# with it and ~3.3 s without)
 _TILE_MIN_ENTRIES = 1000
 
 
@@ -306,56 +318,39 @@ class _ProductRun:
             self.values.append(e)
         return self.value_ids[key]
 
-    def product(self, a: SparseMatrixR, b: SparseMatrixR) -> SparseMatrixR:
-        """a @ b, once per distinct (a, b) pair of objects."""
-        key = (id(a), id(b))
-        if key not in self.products:
-            out = self.tiled(a, b)
-            if out is None:
-                out = self.join(a.rows, b.cols, [(a, b)])
-            self.products[key] = ((a, b), out)  # holding a, b keeps their ids unique
-        return self.products[key][1]
+    def product(self, terms: tuple) -> SparseMatrixR:
+        """The sum of lhs @ rhs over the (lhs, rhs) pairs in terms, once per distinct terms.
 
-    def tiled(self, a: SparseMatrixR, b: SparseMatrixR) -> SparseMatrixR | None:
-        """a @ b from the products of its aligned pieces; None if they do not align.
-
-        Each result rectangle gets the product of its one pair of pieces,
-        or one join over its several pairs; rectangles must be equal or
-        disjoint.  Empty products are left out.
+        Where every pair is two grids, the left factors on one row grid,
+        the right factors on one column grid, each left factor's column
+        starts the right one's row starts, and the pairs hold at least
+        _TILE_MIN_ENTRIES entries, block (i, k) is the product of the pairs
+        (lhs[i, j], rhs[j, k]); empty blocks are left out.  Otherwise the
+        pairs are joined.
         """
-        if a.pieces is None or b.pieces is None:
-            return None  # a leaf spans the whole inner range: nothing to pair
-        if len(a.entries) + len(b.entries) < _TILE_MIN_ENTRIES:
-            return None
-        aligned = _aligned(list(a.pieces), list(b.pieces))
-        if aligned is None:
-            return None
-        left, right, pairs = aligned
-        groups: dict[tuple, list] = {}
-        for i, j in pairs:
-            r0, _, lhs = left[i]
-            _, c0, rhs = right[j]
-            groups.setdefault((r0, c0, lhs.rows, rhs.cols), []).append((lhs, rhs))
-        if len(groups) > 1:
-            r0, c0, h, w = np.array(list(groups)).T
-            meet = (np.maximum.outer(r0, r0) < np.minimum.outer(r0 + h, r0 + h)) \
-                & (np.maximum.outer(c0, c0) < np.minimum.outer(c0 + w, c0 + w))
-            if np.count_nonzero(meet) > np.count_nonzero(h * w):
-                return None  # two rectangles overlap in part
-        pieces = []
-        for (r0, c0, h, w), terms in groups.items():
-            if len(terms) == 1:
-                part = self.product(*terms[0])
+        key = tuple((id(lhs), id(rhs)) for lhs, rhs in terms)
+        if key not in self.products:
+            a, b = terms[0]
+            if all(lhs.blocks is not None and rhs.blocks is not None
+                   and lhs.row_starts == a.row_starts and rhs.col_starts == b.col_starts
+                   and lhs.col_starts == rhs.row_starts for lhs, rhs in terms) \
+                    and sum(len(lhs.entries) + len(rhs.entries)
+                            for lhs, rhs in terms) >= _TILE_MIN_ENTRIES:
+                cells: dict[tuple[int, int], list] = {}
+                for lhs, rhs in terms:
+                    for (i, j), left in lhs.blocks.items():
+                        for (j2, k), right in rhs.blocks.items():
+                            if j == j2:
+                                cells.setdefault((i, k), []).append((left, right))
+                blocks = {cell: self.product(tuple(pairs)) for cell, pairs in cells.items()}
+                blocks = {cell: part for cell, part in blocks.items()
+                          if part.blocks is not None or part.entries}
+                out = _grid(a.ring, _sizes(a.row_starts, a.rows), _sizes(b.col_starts, b.cols),
+                            blocks) if blocks else SparseMatrixR(a.ring, a.rows, b.cols)
             else:
-                key = tuple((id(lhs), id(rhs)) for lhs, rhs in terms)
-                if key not in self.products:
-                    self.products[key] = (terms, self.join(h, w, terms))
-                part = self.products[key][1]
-            if part.pieces is not None or part.entries:
-                pieces.append((r0, c0, part))
-        if not pieces:
-            return SparseMatrixR(a.ring, a.rows, b.cols)
-        return _assemble(a.ring, a.rows, b.cols, pieces)
+                out = self.join(a.rows, b.cols, terms)
+            self.products[key] = (terms, out)  # holding terms keeps their ids unique
+        return self.products[key][1]
 
     def join(self, n_rows: int, n_cols: int, terms: list) -> SparseMatrixR:
         """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a join on value ids.
@@ -378,7 +373,8 @@ class _ProductRun:
             left = np.repeat(np.arange(a_mid.size), width)
             right = _ranges(lo, width)
             found.append((a_row[left], b_col[right], a_val[left], b_val[right]))
-        a_row, b_col, a_val, b_val = (np.concatenate(f) for f in zip(*found))
+        a_row, b_col, a_val, b_val = found[0] if len(found) == 1 else \
+            (np.concatenate(f) for f in zip(*found))
         nv = len(self.values)
         pairs, pair_of = np.unique(a_val * nv + b_val, return_inverse=True)
 
@@ -424,48 +420,6 @@ class _ProductRun:
         return self.expansions[(i, j)]
 
 
-def _aligned(left: list, right: list):
-    """(left, right, pairs) once inner intervals are equal or disjoint, else None.
-
-    left and right are (row offset, col offset, node) pieces; the inner
-    interval is a left piece's columns and a right piece's rows.  Where
-    two intervals overlap but differ, the larger piece-stored one of the
-    two is replaced by its own pieces; two leaves that overlap so give
-    None.  pairs lists the (left, right) indices of equal intervals.
-    """
-    while True:
-        a_lo = np.array([c0 for _, c0, _ in left], dtype=np.intp)
-        a_hi = a_lo + [m.cols for _, _, m in left]
-        b_lo = np.array([r0 for r0, _, _ in right], dtype=np.intp)
-        b_hi = b_lo + [m.rows for _, _, m in right]
-        meet = np.maximum.outer(a_lo, b_lo) < np.minimum.outer(a_hi, b_hi)
-        same = (a_lo[:, None] == b_lo) & (a_hi[:, None] == b_hi)
-        clash = np.nonzero(meet & ~same)
-        if not clash[0].size:
-            return left, right, zip(*np.nonzero(meet))
-        split_left, split_right = set(), set()
-        for i, j in zip(*clash):
-            lhs, rhs = left[i][2], right[j][2]
-            if rhs.pieces is not None and (lhs.pieces is None or rhs.rows >= lhs.cols):
-                split_right.add(j)
-            elif lhs.pieces is not None:
-                split_left.add(i)
-            else:
-                return None
-        left, right = _split(left, split_left), _split(right, split_right)
-
-
-def _split(pieces: list, which: set) -> list:
-    """pieces with each one whose index is in which replaced by its own pieces."""
-    out = []
-    for k, (r0, c0, mat) in enumerate(pieces):
-        if k in which:
-            out += [(r0 + pr, c0 + pc, part) for pr, pc, part in mat.pieces]
-        else:
-            out.append((r0, c0, mat))
-    return out
-
-
 # the five lines json.dumps(indent=2) gives a [row, col, "entry"] list
 # inside a differential's "entries"
 _JSON_ENTRY = "\n        [\n          %d,\n          %d,\n          %s\n        ]"
@@ -473,12 +427,13 @@ _WRITE_CHUNK = 1 << 16  # entries formatted per write
 
 
 def _write_entries(fh, template: str, sep: str, fields) -> None:
-    """template % entry for each entry of (rows, cols, texts), sep-joined, in chunks."""
-    rows, cols, texts = fields
-    for lo in range(0, len(rows), _WRITE_CHUNK):
-        hi = lo + _WRITE_CHUNK
-        fh.write((sep if lo else "") + sep.join(
-            map(template.__mod__, zip(rows[lo:hi], cols[lo:hi], texts[lo:hi]))))
+    """template % entry for each entry of the (rows, cols, texts) arrays, sep-joined.
+
+    The arrays become Python lists one chunk at a time.
+    """
+    for lo in range(0, len(fields[0]), _WRITE_CHUNK):
+        chunk = (a[lo:lo + _WRITE_CHUNK].tolist() for a in fields)
+        fh.write((sep if lo else "") + sep.join(map(template.__mod__, zip(*chunk))))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -512,28 +467,40 @@ def _leaf(ring: ScrollRing, rows: int, cols: int, entries: dict) -> SparseMatrix
     return out
 
 
-def _assemble(ring: ScrollRing, rows: int, cols: int, pieces) -> SparseMatrixR:
-    """A rows x cols matrix stored as its (row offset, col offset, matrix) pieces.
+def _grid(ring: ScrollRing, heights: list[int], widths: list[int], blocks: dict) -> SparseMatrixR:
+    """The matrix with blocks[(i, j)] in the cell of row band i and column band j.
 
-    The pieces are shared, not copied; they must not overlap.
+    Band i is heights[i] rows high, band j widths[j] columns wide; bands
+    are non-empty.  Each block must fill its cell, and is shared, not
+    copied; a cell without a block is zero.  A grid of one cell that
+    holds a block is that block.
     """
-    out = SparseMatrixR(ring, rows, cols)
-    out.pieces = tuple(pieces)
-    out.entries = _PieceView(out)
+    if min(heights) < 1 or min(widths) < 1:
+        raise ValueError(f"empty band in a {heights} x {widths} grid")
+    for (i, j), block in blocks.items():
+        if not (0 <= i < len(heights) and 0 <= j < len(widths)) \
+                or (block.rows, block.cols) != (heights[i], widths[j]):
+            raise ValueError(f"a {block.rows}x{block.cols} block does not fill cell ({i}, {j}) "
+                             f"of a {heights} x {widths} grid")
+    if len(heights) == len(widths) == len(blocks) == 1:
+        return blocks[0, 0]
+    out = SparseMatrixR(ring, sum(heights), sum(widths))
+    out.row_starts = tuple(accumulate(heights[:-1], initial=0))
+    out.col_starts = tuple(accumulate(widths[:-1], initial=0))
+    out.blocks = blocks
+    out.entries = _GridView(out)
     return out
 
 
-def _diagonal(mats, r0: int = 0, c0: int = 0):
-    """(row offset, col offset, matrix) for mats laid corner to corner from (r0, c0)."""
-    for mat in mats:
-        yield r0, c0, mat
-        r0 += mat.rows
-        c0 += mat.cols
+def _sizes(starts: tuple, end: int) -> list[int]:
+    """The band sizes of a grid from its band starts and its size."""
+    return [b - a for a, b in zip(starts, (*starts[1:], end))]
 
 
-def _stairs(block: SparseMatrixR, d: int, r0: int = 0, c0: int = 0) -> list:
-    """Pieces of a d-row staircase: d-1 copies of a 2-row block, each one row down."""
-    return [(r0 + b, c0 + b * block.cols, block) for b in range(d - 1)]
+def _stairs(block: SparseMatrixR, d: int, r0: int = 0, c0: int = 0) -> dict:
+    """Entries of a d-row staircase at (r0, c0): d-1 copies of a 2-row block, each one row down."""
+    return {(r0 + b + r, c0 + b * block.cols + c): e
+            for b in range(d - 1) for (r, c), e in block.entries.items()}
 
 
 def _row(ring: ScrollRing, elems: list[Element]) -> SparseMatrixR:
@@ -544,15 +511,14 @@ def _row(ring: ScrollRing, elems: list[Element]) -> SparseMatrixR:
 def direct_sum(mats: list[SparseMatrixR]) -> SparseMatrixR:
     """The block-diagonal matrix of mats, first one top left; mats must be non-empty.
 
-    The sum of one matrix is that matrix: for blocks (2,2) phi_i is
-    phi_{i-2}, and nesting it would make trees as deep as the resolution.
+    The sum of one matrix is that matrix (`_grid`): for blocks (2,2)
+    phi_i is phi_{i-2}, and nesting it would make trees as deep as the
+    resolution.
     """
     if not mats:
         raise ValueError("direct sum of nothing")
-    if len(mats) == 1:
-        return mats[0]
-    return _assemble(mats[0].ring, sum(m.rows for m in mats), sum(m.cols for m in mats),
-                     _diagonal(mats))
+    return _grid(mats[0].ring, [m.rows for m in mats], [m.cols for m in mats],
+                 {(k, k): m for k, m in enumerate(mats)})
 
 
 def _require_two_blocks(spec: ScrollSpec) -> None:
@@ -587,7 +553,7 @@ def staircase(spec: ScrollSpec, d: int) -> SparseMatrixR:
     _require_two_blocks(spec)
     if d < 2:
         raise ValueError("staircase needs at least two rows")
-    return _assemble(ring_for(spec), d, (d - 1) * (spec.n - 2), _stairs(phi0(spec), d))
+    return _leaf(ring_for(spec), d, (d - 1) * (spec.n - 2), _stairs(phi0(spec), d))
 
 
 @_shared
@@ -604,18 +570,17 @@ def phi1(spec: ScrollSpec) -> SparseMatrixR:
     m, p, n = spec.m, spec.p, spec.n
     w = n - 2
     f0 = phi0(spec)
-    band = {}
+    out = {**_stairs(f0, m - 1), **_stairs(f0, p - 1, m - 1, (m - 1) * w)}
+    c0 = (m - 2) * w  # the middle band's first column
     for r in range(m - 1):
-        band[(r, r)] = ring.var_elem(m + 1, 1)
+        out[(r, c0 + r)] = ring.var_elem(m + 1, 1)
     for l in range(1, p):
-        band[(m - 2, m - 2 + l)] = ring.var_elem(m + 1 + l, 1)
+        out[(m - 2, c0 + m - 2 + l)] = ring.var_elem(m + 1 + l, 1)
     for c in range(1, m):
-        band[(m - 1, c - 1)] = ring.var_elem(c, -1)
+        out[(m - 1, c0 + c - 1)] = ring.var_elem(c, -1)
     for r in range(1, p):
-        band[(m - 2 + r, m - 2 + r)] = ring.var_elem(m, -1)
-    return _assemble(ring, w, w * (n - 3),
-                     _stairs(f0, m - 1) + _stairs(f0, p - 1, m - 1, (m - 1) * w)
-                     + [(0, (m - 2) * w, _leaf(ring, w, w, MappingProxyType(band)))])
+        out[(m - 2 + r, c0 + m - 2 + r)] = ring.var_elem(m, -1)
+    return _leaf(ring, w, w * (n - 3), out)
 
 
 def u_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
@@ -656,27 +621,37 @@ def phi2(spec: ScrollSpec) -> SparseMatrixR:
     u blocks stacked left-aligned in the central (n-2)(n-3) columns.
     Middle band: minus the height-(n-2) staircase on the central columns.
     Bottom band: the v blocks right-aligned in the central columns, then
-    p-2 diagonal copies of phi1 over the right columns.
+    p-2 diagonal copies of phi1 over the right columns.  The column bands
+    (left, central, right; an empty one left out) are phi3's row bands,
+    and the u/v blocks sit in n-3 columns of width n-2, phi1's rows.
     """
     _require_two_blocks(spec)
     m, p, n = spec.m, spec.p, spec.n
+    ring = ring_for(spec)
     w = n - 2
     f1 = phi1(spec)
-    mid_c0 = (m - 2) * w * (n - 3)          # first central column
-    bot_r0 = (m - 1) * w
-    pieces = [
-        *_diagonal([f1] * (m - 2)),
-        *((0, mid_c0 + b * w, u_block(spec, b)) for b in range(m - 2)),
-        *_stairs(-phi0(spec), n - 2, (m - 2) * w, mid_c0),
-        *((bot_r0, mid_c0 + (m - 1 + b) * w, v_block(spec, b)) for b in range(p - 2)),
-        *_diagonal([f1] * (p - 2), bot_r0, (m - 1) * w * (n - 3)),
-    ]
-    return _assemble(ring_for(spec), w * (n - 3), w * (n - 3) ** 2, pieces)
+    heights = [h for h in ((m - 2) * w, w, (p - 2) * w) if h]
+    t = int(m > 2)  # the index of the middle band
+    blocks = {}
+    if m > 2:
+        blocks[0, 0] = direct_sum([f1] * (m - 2))
+        blocks[0, 1] = _grid(ring, [(m - 2) * w], [w] * (n - 3),
+                             {(0, b): u_block(spec, b) for b in range(m - 2)})
+    blocks[t, t] = -staircase(spec, w)
+    if p > 2:
+        blocks[t + 1, t] = _grid(ring, [(p - 2) * w], [w] * (n - 3),
+                                 {(0, m - 1 + b): v_block(spec, b) for b in range(p - 2)})
+        blocks[t + 1, t + 1] = direct_sum([f1] * (p - 2))
+    return _grid(ring, heights, [h * (n - 3) for h in heights], blocks)
 
 
 @_shared
 def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
-    """phi_i; for i >= 3 the direct sum phi_{i-1}^(m-2) + phi_{i-2}^(n-3) + phi_{i-1}^(p-2)."""
+    """phi_i; for i >= 3 the direct sum phi_{i-1}^(m-2) + phi_{i-2}^(n-3) + phi_{i-1}^(p-2).
+
+    Each non-empty run of copies is one block, so phi_i's column bands
+    are phi_{i+1}'s row bands.
+    """
     _require_two_blocks(spec)
     if i < 0:
         raise ValueError("phi index must be non-negative")
@@ -687,9 +662,8 @@ def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
     if i == 2:
         return phi2(spec)
     m, p, n = spec.m, spec.p, spec.n
-    parts = [phi(spec, i - 1)] * (m - 2) + [phi(spec, i - 2)] * (n - 3) \
-        + [phi(spec, i - 1)] * (p - 2)
-    return direct_sum(parts)
+    runs = [[phi(spec, i - 1)] * (m - 2), [phi(spec, i - 2)] * (n - 3), [phi(spec, i - 1)] * (p - 2)]
+    return direct_sum([direct_sum(run) for run in runs if run])
 
 
 @_shared
@@ -699,7 +673,7 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
     alpha_0 is the n x (n-1) two-band matrix; for i >= 1 alpha_i is the
     diagonal x_{m+1} / -x_m square matrix split by the I1/I2 summands,
     stored as m-1 and then p-1 scalar identities the size of phi_i's rows,
-    so its tiles line up with the phi copies of both neighbouring steps.
+    so its blocks line up with the phi copies of both neighbouring steps.
     """
     _require_two_blocks(spec)
     ring = ring_for(spec)
@@ -826,12 +800,13 @@ def resolution_of(spec: ScrollSpec, target: str, steps: int) -> Resolution:
 
 
 def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
-    """Differential i of the field resolution (i >= 1), assembled in one pass.
+    """Differential i of the field resolution (i >= 1).
 
     Step 1 is the row of variables.  Step i >= 2 is the cone
-    [I1 step i-1 (+) I2 step i-1 | alpha_{i-2}; 0 | -(J step i-2)]: the
-    I1 and I2 blocks down the diagonal, alpha_{i-2} to their right and,
-    from i = 3 on, the J block negated once and repeated below alpha.
+    [I1 step i-1 (+) I2 step i-1 | alpha_{i-2}; 0 | -(J step i-2)], a grid
+    of three blocks: the I1 and I2 copies as one direct sum, alpha_{i-2} to
+    its right and, from i = 3 on, the J block negated once and repeated
+    below alpha.
     """
     ring = ring_for(spec)
     if i == 1:
@@ -839,32 +814,34 @@ def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
     b1, k1, l1 = _ideal_step(spec, "I1", i - 1)
     b2, k2, l2 = _ideal_step(spec, "I2", i - 1)
     a = alpha(spec, i - 2)
-    rows = k1 * b1.rows + k2 * b2.rows
-    cols = k1 * b1.cols + k2 * b2.cols
-    pieces = [*_diagonal([b1] * k1 + [b2] * k2), (0, cols, a)]
+    top = direct_sum([b1] * k1 + [b2] * k2)
     label = f"[{l1} + {l2} | alpha{i - 2}"
     if i == 2:
-        return _assemble(ring, rows, cols + a.cols, pieces), label + "]"
+        return _grid(ring, [top.rows], [top.cols, a.cols], {(0, 0): top, (0, 1): a}), label + "]"
     bj, kj, lj = _ideal_step(spec, "J", i - 2)
-    pieces += _diagonal([-bj] * kj, rows, cols)
-    return (_assemble(ring, rows + kj * bj.rows, cols + a.cols, pieces),
+    low = direct_sum([-bj] * kj)
+    return (_grid(ring, [top.rows, low.rows], [top.cols, a.cols],
+                  {(0, 0): top, (0, 1): a, (1, 1): low}),
             f"{label}; 0 | -{lj}]")
 
 
 def field_resolution(spec: ScrollSpec, steps: int) -> Resolution:
     """Minimal free resolution of the residue field, differentials 1..steps.
 
-    Step ranks are checked against the closed-form Betti numbers.  The
-    last free module may have rank at most MAX_FREE_RANK.
+    Step ranks are checked against the closed-form Betti numbers.  There
+    may be at most MAX_STEPS steps, and the last free module may have rank
+    at most MAX_FREE_RANK.
     """
     _require_two_blocks(spec)
     if steps < 1:
         raise ValueError("need at least one step")
+    if steps > MAX_STEPS:
+        raise ValueError(f"resource guard: {steps} steps requested, above the supported {MAX_STEPS}")
     top = betti(spec, steps)
     if top > MAX_FREE_RANK:
         raise ValueError(
             f"resource guard: the free module at step {steps} has rank {top}, "
-            "above the supported 3 * 10**6"
+            f"above the supported {MAX_FREE_RANK}"
         )
     mats, prov = [], []
     for i in range(1, steps + 1):

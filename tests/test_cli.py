@@ -260,6 +260,27 @@ def test_refused_resolve_leaves_no_file(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_steps_beyond_the_bound_are_refused(tmp_path, capsys, monkeypatch):
+    """Blocks (2,2) have rank 8 at every step from 3 on: only the step bound stops them."""
+    from scrollres import resolution
+
+    def boom(spec, i):
+        raise AssertionError("a step was built")
+    monkeypatch.setattr(resolution, "_cone_step", boom)
+    path = tmp_path / "F"
+    steps = resolution.MAX_STEPS + 1
+    for argv in (["resolve", "--scroll", "2,2", "--steps", str(steps), "--out", str(path)],
+                 ["verify", "--scroll", "2,2", "--steps", str(steps),
+                  "--checks", "complex,minimal"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), argv
+        assert captured.err == (f"error: resource guard: {steps} steps requested, "
+                                f"above the supported {resolution.MAX_STEPS}\n"), argv
+        assert not path.exists()
+    assert resolution.MAX_STEPS >= 3000
+
+
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "no" / "such" / "F")
     for argv in (["betti", "--scroll", "2,2", "--max", "2", "--format", "json"],
@@ -302,12 +323,12 @@ def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch):
 
     def recording(spec, n):
         res = field_resolution(spec, n)
-        steps.update(id(s) for s in res.steps if s.pieces is not None)
+        steps.update(id(s) for s in res.steps if s.blocks is not None)
         return res
 
     def walk(mat, r0, c0):
         if id(mat) in steps:
-            raise AssertionError("a piece-stored step was iterated")
+            raise AssertionError("a grid step was iterated")
         return real_walk(mat, r0, c0)
 
     joins = []
@@ -324,7 +345,7 @@ def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch):
              "--checks", "complex,minimal,minors"]
     rc, out = run(capsys, exact)
     assert rc == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"
-    assert len(steps) == 5  # every step but the first is piece-stored
+    assert len(steps) == 5  # every step but the first is a grid
     # the largest join, over both factors, is a cone coupling at step 5 @ step 6;
     # the join of the whole two steps would hold 195,510 entries
     assert 0 < max(joins) <= 39000
