@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .linalg import is_prime, rank_modp
-from .resolution import Resolution, SparseMatrixR, phi, staircase
+from .resolution import Resolution, SparseMatrixR, _ProductRun, phi, staircase
 from .ring import Element, ring_for
 from .scrolls import ScrollSpec
 from .series import hilbert_coefficients
@@ -136,9 +136,14 @@ def probe_rank(
 
 
 def check_complex(res: Resolution) -> CheckReport:
-    """Every consecutive product reduces to zero entrywise."""
-    for i in range(len(res.steps) - 1):
-        prod = res.steps[i] @ res.steps[i + 1]
+    """Every consecutive product reduces to zero entrywise.
+
+    One product memo serves the whole check, so block and value pairs
+    that recur from step to step are multiplied once.
+    """
+    run = _ProductRun()
+    for i, pair in enumerate(zip(res.steps, res.steps[1:])):
+        prod = run.product((pair,))
         if prod.entries:
             (r, c), e = min(prod.items_sorted())
             return CheckReport(

@@ -18,13 +18,14 @@ Storage.  A matrix is either a leaf, whose entries are a dict
 {(row, col): Element}, or a grid: row block starts, column block starts
 and a {(i, j): block} dict, each block filling its cell and shared, not
 copied (`_grid`).  phi_i for i >= 2, alpha_i for i >= 1, the ideal steps
-and the cone steps are grids over shared nodes (the cached phi matrices,
-the u/v blocks, scalar identities), so a differential is a tree with few
-distinct nodes although its entries grow like (n-3)^i.  phi0, phi1 and
-the staircases are leaves.  The layout follows the mapping cone: a
-direct sum is a diagonal grid, phi_i (i >= 3) is the direct sum of its
-three runs of copies, phi2's column bands are phi3's runs, and cone step
-i >= 3 is the 2 x 2 grid [I1 (+) I2 copies | alpha_{i-2}; 0 | -J copies].
+and the cone steps are grids over shared nodes (the cached phi and
+-phi matrices, the u/v blocks, scalar identities), so a differential is
+a tree with few distinct nodes although its entries grow like (n-3)^i.
+phi0, phi1 and the staircases are leaves.  The layout follows the
+mapping cone: a direct sum is a diagonal grid, phi_i (i >= 3) is the
+direct sum of its three runs of copies, phi2's column bands are phi3's
+runs, and cone step i >= 3 is the 2 x 2 grid
+[I1 (+) I2 copies | alpha_{i-2}; 0 | -J copies].
 So, from phi2 and cone step 3 on, the column blocks of one differential
 are the row blocks of the next, at every level down to phi1.  A grid's
 `entries` is a read-only view that lists entries in block order; the
@@ -37,9 +38,14 @@ Products.  `A @ B` is block multiplication: where both factors are grids
 and A's column starts are B's row starts, block (i, k) of the product is
 the sum over j of A[i, j] @ B[j, k], computed the same way, once per
 distinct list of (left, right) pairs.  phi_i @ phi_{i+1} so comes down
-to products at the phi1 @ phi2 level.  A leaf, blocks that do not line
-up, or fewer than _TILE_MIN_ENTRIES entries in all give one join of the
-materialised entries of the pairs (`_ProductRun.join`).
+to products at the phi1 @ phi2 level.  A leaf or blocks that do not line
+up give one join of the materialised entries of the pairs
+(`_ProductRun.join`).  The memos of node products, node arrays and
+value-pair products live in one `_ProductRun`: each `@` makes its own,
+and `check_complex` holds one for the whole check, so a pair of the
+shared nodes that recurs from step to step is multiplied once.  For
+blocks (2,2), 2-periodic from step 4 on, a check of any length so makes
+the same few joins.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -69,9 +75,11 @@ from .series import betti
 # 90 MB.  Step 9 has 6x the rank and would need ~6x the memory.
 MAX_FREE_RANK = 3 * 10**6
 # the rank guard cannot bound blocks (2,2), where beta_i = 8 for every
-# i >= 3; every other scroll stops by step 19.  (2,2) at 5000 steps:
-# `resolve --out` 1.5 s and 7.0 MB written, `verify --checks complex,minimal`
-# 3.8 s, both under 50 MB peak RSS; both grow linearly in the steps.
+# i >= 3; every other scroll stops by step 19.  This bounds the output:
+# `check_complex` on (2,2) makes the same 13 joins at any length.  At 5000
+# steps, cold on a 2-core Xeon VM: `resolve --out` 1.7 s at 45 MB peak RSS,
+# writing 7.0 MB, and `verify --checks complex,minimal` 1.2 s at 56 MB;
+# both grow linearly in the steps.
 MAX_STEPS = 5000
 
 
@@ -83,7 +91,8 @@ class SparseMatrixR:
     {(i, j): matrix} dict, block (i, j) starting at row_starts[i],
     col_starts[j]) has a read-only `entries` view; a leaf's `blocks` is
     None.  The cached constructors (`phi0`, `phi1`, `phi2`, `phi`,
-    `alpha`) hand out read-only entries; `copy()` gives a writable leaf.
+    `alpha`) hand out read-only entries, down to every leaf; `copy()`
+    gives a writable leaf.
     """
 
     __slots__ = ("ring", "rows", "cols", "entries", "row_starts", "col_starts", "blocks")
@@ -125,7 +134,8 @@ class SparseMatrixR:
         """The exact product, by block multiplication where the grids line up.
 
         See the module docstring; the result equals the join of the two
-        materialised matrices entry for entry.
+        materialised matrices entry for entry.  Each call has its own
+        memos; `check_complex` shares one `_ProductRun` across a check.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -287,21 +297,18 @@ def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict):
 
     def node(m, parts):
         offsets = [(m.row_starts[i], m.col_starts[j]) for i, j in m.blocks]
-        return (np.concatenate([r + r0 if r0 else r for (r0, _), (r, _, _) in zip(offsets, parts)]),
-                np.concatenate([c + c0 if c0 else c for (_, c0), (_, c, _) in zip(offsets, parts)]),
+        return (np.concatenate([r + r0 for (r0, _), (r, _, _) in zip(offsets, parts)]),
+                np.concatenate([c + c0 for (_, c0), (_, c, _) in zip(offsets, parts)]),
                 np.concatenate([v for _, _, v in parts]))
     return _per_node(mat, leaf, node, memo)
 
 
-# pairs of nodes with fewer entries between them are joined whole: below
-# this, the fixed numpy cost of a join per block pair exceeds the one join
-# (check_complex on (2,2) to step 3000, ~60 entries a step, takes ~1.7 s
-# with it and ~3.3 s without)
-_TILE_MIN_ENTRIES = 1000
-
-
 class _ProductRun:
-    """The memos of one `@`: value ids, node arrays, value-pair products, node products."""
+    """The memos of one `@` or one check: value ids, node arrays, value-pair and node products.
+
+    Memo keys are object ids, so every node a run has seen must outlive
+    the run; the node products hold their factors for this.
+    """
 
     def __init__(self):
         self.value_ids: dict[frozenset, int] = {}
@@ -322,20 +329,17 @@ class _ProductRun:
         """The sum of lhs @ rhs over the (lhs, rhs) pairs in terms, once per distinct terms.
 
         Where every pair is two grids, the left factors on one row grid,
-        the right factors on one column grid, each left factor's column
-        starts the right one's row starts, and the pairs hold at least
-        _TILE_MIN_ENTRIES entries, block (i, k) is the product of the pairs
-        (lhs[i, j], rhs[j, k]); empty blocks are left out.  Otherwise the
-        pairs are joined.
+        the right factors on one column grid and each left factor's column
+        starts the right one's row starts, block (i, k) is the product of
+        the pairs (lhs[i, j], rhs[j, k]); empty blocks are left out.
+        Otherwise the pairs are joined.
         """
         key = tuple((id(lhs), id(rhs)) for lhs, rhs in terms)
         if key not in self.products:
             a, b = terms[0]
             if all(lhs.blocks is not None and rhs.blocks is not None
                    and lhs.row_starts == a.row_starts and rhs.col_starts == b.col_starts
-                   and lhs.col_starts == rhs.row_starts for lhs, rhs in terms) \
-                    and sum(len(lhs.entries) + len(rhs.entries)
-                            for lhs, rhs in terms) >= _TILE_MIN_ENTRIES:
+                   and lhs.col_starts == rhs.row_starts for lhs, rhs in terms):
                 cells: dict[tuple[int, int], list] = {}
                 for lhs, rhs in terms:
                     for (i, j), left in lhs.blocks.items():
@@ -373,8 +377,7 @@ class _ProductRun:
             left = np.repeat(np.arange(a_mid.size), width)
             right = _ranges(lo, width)
             found.append((a_row[left], b_col[right], a_val[left], b_val[right]))
-        a_row, b_col, a_val, b_val = found[0] if len(found) == 1 else \
-            (np.concatenate(f) for f in zip(*found))
+        a_row, b_col, a_val, b_val = (np.concatenate(f) for f in zip(*found))
         nv = len(self.values)
         pairs, pair_of = np.unique(a_val * nv + b_val, return_inverse=True)
 
@@ -449,13 +452,16 @@ def _negated(e: Element) -> Element:
 
 
 def _shared(build):
-    """Cache a matrix constructor; the matrix it hands out is read-only."""
+    """Cache a matrix constructor; the matrix it hands out, and each of its leaves, is read-only."""
+    def freeze(m):
+        if type(m.entries) is dict:
+            m.entries = MappingProxyType(m.entries)
+
     @lru_cache(maxsize=None)
     @wraps(build)
     def cached(*args):
         out = build(*args)
-        if type(out.entries) is dict:
-            out.entries = MappingProxyType(out.entries)
+        _per_node(out, freeze, lambda m, parts: None, {})
         return out
     return cached
 
@@ -645,7 +651,6 @@ def phi2(spec: ScrollSpec) -> SparseMatrixR:
     return _grid(ring, heights, [h * (n - 3) for h in heights], blocks)
 
 
-@_shared
 def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
     """phi_i; for i >= 3 the direct sum phi_{i-1}^(m-2) + phi_{i-2}^(n-3) + phi_{i-1}^(p-2).
 
@@ -655,14 +660,18 @@ def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
     _require_two_blocks(spec)
     if i < 0:
         raise ValueError("phi index must be non-negative")
-    if i == 0:
-        return phi0(spec)
-    if i == 1:
-        return phi1(spec)
-    if i == 2:
-        return phi2(spec)
+    return _phi(spec, i, 1)
+
+
+@_shared
+def _phi(spec: ScrollSpec, i: int, sign: int) -> SparseMatrixR:
+    """sign * phi_i, for sign = 1 or -1; -phi_i (i >= 3) is built from -phi_{i-1}, -phi_{i-2}."""
+    if i <= 2:
+        base = (phi0, phi1, phi2)[i](spec)
+        return base if sign > 0 else -base
     m, p, n = spec.m, spec.p, spec.n
-    runs = [[phi(spec, i - 1)] * (m - 2), [phi(spec, i - 2)] * (n - 3), [phi(spec, i - 1)] * (p - 2)]
+    runs = [[_phi(spec, i - 1, sign)] * (m - 2), [_phi(spec, i - 2, sign)] * (n - 3),
+            [_phi(spec, i - 1, sign)] * (p - 2)]
     return direct_sum([direct_sum(run) for run in runs if run])
 
 
@@ -805,8 +814,8 @@ def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
     Step 1 is the row of variables.  Step i >= 2 is the cone
     [I1 step i-1 (+) I2 step i-1 | alpha_{i-2}; 0 | -(J step i-2)], a grid
     of three blocks: the I1 and I2 copies as one direct sum, alpha_{i-2} to
-    its right and, from i = 3 on, the J block negated once and repeated
-    below alpha.
+    its right and, from i = 3 on, the negated J block repeated below alpha:
+    step 3's staircase negated once, from i = 4 on the cached -phi_{i-3}.
     """
     ring = ring_for(spec)
     if i == 1:
@@ -819,7 +828,7 @@ def _cone_step(spec: ScrollSpec, i: int) -> tuple[SparseMatrixR, str]:
     if i == 2:
         return _grid(ring, [top.rows], [top.cols, a.cols], {(0, 0): top, (0, 1): a}), label + "]"
     bj, kj, lj = _ideal_step(spec, "J", i - 2)
-    low = direct_sum([-bj] * kj)
+    low = direct_sum([-bj if i == 3 else _phi(spec, i - 3, -1)] * kj)
     return (_grid(ring, [top.rows, low.rows], [top.cols, a.cols],
                   {(0, 0): top, (0, 1): a, (1, 1): low}),
             f"{label}; 0 | -{lj}]")

@@ -10,7 +10,7 @@ from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
                               inject_fault, scroll_point)
 from scrollres.ring import ring_for
 from scrollres.resolution import (MAX_FREE_RANK, Resolution, SparseMatrixR,
-                                  _grid, _sizes, alpha, direct_sum, field_resolution,
+                                  _grid, _phi, _sizes, alpha, direct_sum, field_resolution,
                                   phi, phi0, phi1, phi2, resolution_of, staircase,
                                   u_block, v_block)
 from scrollres.scrolls import build_scroll
@@ -634,13 +634,19 @@ def reference_first_residual(res):
     return None
 
 
-@pytest.mark.parametrize("blocks", [(3, 3), (4, 3), (2, 5)])
+# blocks (2,2) are 2-periodic: from step 4 on, steps i and i+2 share their phi and -phi nodes
+@pytest.mark.parametrize("blocks", [(3, 3), (4, 3), (2, 5), (2, 2)])
 def test_matmul_on_fault_injected_steps_matches_reference(blocks):
     spec = build_scroll(blocks)
-    res = field_resolution(spec, 4)
-    for step in (2, 3, 4):
+    steps, faulted = (8, (5, 6, 7)) if blocks == (2, 2) else (4, (2, 3, 4))
+    res = field_resolution(spec, steps)
+    clean = [list(s.entries.items()) for s in res.steps]
+    for step in faulted:
         for kind in FAULT_KINDS:
             bad = inject_fault(res, kind, step)
+            assert [list(s.entries.items()) for s in res.steps] == clean
+            assert [list(s.entries.items()) for k, s in enumerate(bad.steps) if k != step - 1] \
+                == clean[:step - 1] + clean[step:]
             for a, b in zip(bad.steps, bad.steps[1:]):
                 assert_product_matches_reference(a, b)
             report = check_complex(bad)
@@ -649,6 +655,38 @@ def test_matmul_on_fault_injected_steps_matches_reference(blocks):
                 assert report.ok
             else:
                 assert not report.ok and report.details == want
+
+
+def test_one_product_memo_serves_the_whole_check(monkeypatch):
+    """Node and value pairs that recur from step to step are multiplied once per check."""
+    from scrollres import resolution
+    from scrollres.ring import Element
+
+    calls = {"join": 0, "mul": 0}
+
+    def join(run, rows, cols, terms):
+        calls["join"] += 1
+        return real_join(run, rows, cols, terms)
+
+    def mul(a, b):
+        calls["mul"] += 1
+        return real_mul(a, b)
+
+    real_join, real_mul = resolution._ProductRun.join, Element.__mul__
+    monkeypatch.setattr(resolution._ProductRun, "join", join)
+    monkeypatch.setattr(Element, "__mul__", mul)
+    joins = []
+    for steps in (30, 3000):  # (2,2) is 2-periodic from step 4 on
+        res = field_resolution(S22, steps)
+        calls["join"] = 0
+        assert check_complex(res).ok
+        joins.append(calls["join"])
+    assert joins[0] == joins[1]
+    res = field_resolution(S45, 6)
+    calls["mul"] = 0
+    assert check_complex(res).ok
+    # every entry is some +-x_v: at most (2n)^2 distinct value pairs
+    assert calls["mul"] <= (2 * S45.n) ** 2
 
 
 def test_alpha_products_match_reference():
@@ -666,13 +704,27 @@ def test_cached_objects_are_read_only():
         del entry.terms[mono]
     with pytest.raises(AttributeError):
         entry.terms.clear()
-    for mat in (phi0(S33), phi1(S33), phi2(S33), phi(S33, 3), alpha(S33, 1)):
+    negated = [_phi(S33, i, -1) for i in (1, 2, 3)]
+    for mat in (phi0(S33), phi1(S33), phi2(S33), phi(S33, 3), alpha(S33, 1), *negated):
         with pytest.raises(TypeError):
             mat.entries[(0, 0)] = entry
+        for leaf in leaves(mat):
+            with pytest.raises(TypeError):
+                leaf.entries[(0, 0)] = entry
+    # the J blocks of steps 4, 5 and 6 are copies of the cached -phi_1, -phi_2, -phi_3
+    steps = field_resolution(S33, 6).steps
+    assert all(steps[i].blocks[1, 1].blocks[0, 0] is mat for i, mat in zip((3, 4, 5), negated))
     copied = phi(S33, 1).copy()
     copied.entries.clear()
     assert phi(S33, 1).entries
     assert check_complex(field_resolution(S33, 4)).ok
+
+
+def leaves(mat):
+    """The leaves of a matrix's tree of blocks, each distinct one once."""
+    if mat.blocks is None:
+        return [mat]
+    return list({id(leaf): leaf for part in mat.blocks.values() for leaf in leaves(part)}.values())
 
 
 def test_negated_entries_share_objects():
