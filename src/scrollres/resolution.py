@@ -43,9 +43,19 @@ up give one join of the materialised entries of the pairs
 (`_ProductRun.join`).  The memos of node products, node arrays and
 value-pair products live in one `_ProductRun`: each `@` makes its own,
 and `check_complex` holds one for the whole check, so a pair of the
-shared nodes that recurs from step to step is multiplied once.  For
-blocks (2,2), 2-periodic from step 4 on, a check of any length so makes
-the same few joins.
+shared nodes that recurs from step to step is multiplied once.  Only
+products of cached nodes (marked by `_shared`) are kept; a step's own
+grids never recur.  For blocks (2,2), 2-periodic from step 4 on, a check
+of any length so makes the same few joins.
+
+Writing.  `write_json` and `write_text` stream one step at a time.  A
+step's entries come as position keys and entry codes, gathered from its
+cached nodes and fresh leaves (`_keyed`) and sorted once.  Each entry is
+written as three pieces: a row piece and a column numeral, formatted once
+per row and per distinct column of a chunk, and an entry piece, formatted
+once per distinct Element; numpy gathers them for one join per chunk
+(`_entry_writer`).  One write keeps the cached leaves' arrays and each
+Element's piece for all its steps, so blocks (2,2) pay for them once.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -70,15 +80,15 @@ from .scrolls import ScrollSpec
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
-# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 390 MB and
+# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 270 MB and
 # `verify` near 570 MB, each in under 10 s; step 7 (rank 444,528) peaks near
-# 90 MB.  Step 9 has 6x the rank and would need ~6x the memory.
+# 80 MB.  Step 9 has 6x the rank and would need ~6x the memory.
 MAX_FREE_RANK = 3 * 10**6
 # the rank guard cannot bound blocks (2,2), where beta_i = 8 for every
 # i >= 3; every other scroll stops by step 19.  This bounds the output:
 # `check_complex` on (2,2) makes the same 13 joins at any length.  At 5000
-# steps, cold on a 2-core Xeon VM: `resolve --out` 1.7 s at 45 MB peak RSS,
-# writing 7.0 MB, and `verify --checks complex,minimal` 1.2 s at 56 MB;
+# steps, cold on a 2-core Xeon VM: `resolve --out` 1.5 s at 45 MB peak RSS,
+# writing 7.0 MB, and `verify --checks complex,minimal` 1.2 s at 44 MB;
 # both grow linearly in the steps.
 MAX_STEPS = 5000
 
@@ -91,11 +101,12 @@ class SparseMatrixR:
     {(i, j): matrix} dict, block (i, j) starting at row_starts[i],
     col_starts[j]) has a read-only `entries` view; a leaf's `blocks` is
     None.  The cached constructors (`phi0`, `phi1`, `phi2`, `phi`,
-    `alpha`) hand out read-only entries, down to every leaf; `copy()`
-    gives a writable leaf.
+    `alpha`) hand out read-only entries, down to every leaf, and mark
+    each node they hold `cached`; `copy()` gives a writable leaf.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries", "row_starts", "col_starts", "blocks")
+    __slots__ = ("ring", "rows", "cols", "entries", "row_starts", "col_starts", "blocks",
+                 "cached")
 
     def __init__(self, ring: ScrollRing, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -104,6 +115,7 @@ class SparseMatrixR:
         self.rows = rows
         self.cols = cols
         self.row_starts = self.col_starts = self.blocks = None
+        self.cached = False  # set by `_shared`: the node lives, read-only, as long as its cache
         self.entries: dict[tuple[int, int], Element] = {}
         if entries:
             for (r, c), e in (entries.items() if isinstance(entries, Mapping) else entries):
@@ -177,12 +189,12 @@ class SparseMatrixR:
     def _formatted(self, fn=str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and fn(entry) arrays in (row, col) order.
 
-        One lexsort orders the coordinates; fn runs once per distinct
-        Element object, so shared entries are formatted once.
+        One argsort of the position keys orders the entries; fn runs once
+        per distinct Element object, so shared entries are formatted once.
         """
-        rows, cols, texts = _arrays(self, fn, object, {})
-        order = np.lexsort((cols, rows))
-        return rows[order], cols[order], texts[order]
+        keys, texts = _keyed(self, fn, object)
+        order = np.argsort(keys)
+        return (*np.divmod(keys[order], self.cols), texts[order])
 
     def to_json_obj(self) -> dict:
         return {
@@ -264,25 +276,30 @@ def _walk(mat: SparseMatrixR, r0: int, c0: int):
             yield from _walk(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
 
 
-def _per_node(mat: SparseMatrixR, leaf, node, memo: dict):
+def _per_node(mat: SparseMatrixR, leaf, node, memo: dict, cached: dict | None = None):
     """leaf(mat) for a leaf, else node(mat, [the result for each block]).
 
-    Each distinct node is visited once per memo.
+    Each distinct node is visited once per memo.  With `cached` given,
+    the results of cached leaves go there instead, to outlive memo: a
+    leaf's result is made entry by entry, a grid's only from its blocks'.
     """
+    table = cached if cached is not None and mat.cached and mat.blocks is None else memo
     key = id(mat)
-    if key not in memo:
-        memo[key] = leaf(mat) if mat.blocks is None else \
-            node(mat, [_per_node(part, leaf, node, memo) for part in mat.blocks.values()])
-    return memo[key]
+    if key not in table:
+        table[key] = leaf(mat) if mat.blocks is None else node(
+            mat, [_per_node(part, leaf, node, memo, cached) for part in mat.blocks.values()])
+    return table[key]
 
 
-def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict):
+def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict, cached: dict | None = None,
+            images: dict | None = None):
     """(rows, cols, fn(entry)) arrays of mat's entries, in iteration order.
 
-    fn runs once per distinct Element object; a grid concatenates its
-    blocks' arrays, each distinct node's built once per memo.
+    fn runs once per distinct Element object per images memo (one per
+    call if none is given); a grid concatenates its blocks' arrays, each
+    distinct node's built once per memo and `cached` (see `_per_node`).
     """
-    images: dict[int, object] = {}
+    images = {} if images is None else images
 
     def image(e):
         key = id(e)
@@ -300,14 +317,16 @@ def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict):
         return (np.concatenate([r + r0 for (r0, _), (r, _, _) in zip(offsets, parts)]),
                 np.concatenate([c + c0 for (_, c0), (_, c, _) in zip(offsets, parts)]),
                 np.concatenate([v for _, _, v in parts]))
-    return _per_node(mat, leaf, node, memo)
+    return _per_node(mat, leaf, node, memo, cached)
 
 
 class _ProductRun:
     """The memos of one `@` or one check: value ids, node arrays, value-pair and node products.
 
-    Memo keys are object ids, so every node a run has seen must outlive
-    the run; the node products hold their factors for this.
+    Memo keys are object ids.  The node products keep pairs of cached
+    nodes only, and the node arrays cached leaves only (`_per_node`):
+    those live as long as their caches and recur from step to step,
+    while a step's own grids, and their products, are not looked up again.
     """
 
     def __init__(self):
@@ -316,7 +335,7 @@ class _ProductRun:
         self.monomials: dict[tuple, int] = {}
         self.node_arrays: dict = {}
         self.expansions: dict[tuple[int, int], tuple[list, list]] = {}
-        self.products: dict[tuple, tuple] = {}
+        self.products: dict[tuple, SparseMatrixR] = {}
 
     def intern(self, e: Element) -> int:
         key = frozenset(e.terms.items())
@@ -326,7 +345,7 @@ class _ProductRun:
         return self.value_ids[key]
 
     def product(self, terms: tuple) -> SparseMatrixR:
-        """The sum of lhs @ rhs over the (lhs, rhs) pairs in terms, once per distinct terms.
+        """The sum of lhs @ rhs over the (lhs, rhs) pairs in terms; once per run if all are cached.
 
         Where every pair is two grids, the left factors on one row grid,
         the right factors on one column grid and each left factor's column
@@ -335,26 +354,28 @@ class _ProductRun:
         Otherwise the pairs are joined.
         """
         key = tuple((id(lhs), id(rhs)) for lhs, rhs in terms)
-        if key not in self.products:
-            a, b = terms[0]
-            if all(lhs.blocks is not None and rhs.blocks is not None
-                   and lhs.row_starts == a.row_starts and rhs.col_starts == b.col_starts
-                   and lhs.col_starts == rhs.row_starts for lhs, rhs in terms):
-                cells: dict[tuple[int, int], list] = {}
-                for lhs, rhs in terms:
-                    for (i, j), left in lhs.blocks.items():
-                        for (j2, k), right in rhs.blocks.items():
-                            if j == j2:
-                                cells.setdefault((i, k), []).append((left, right))
-                blocks = {cell: self.product(tuple(pairs)) for cell, pairs in cells.items()}
-                blocks = {cell: part for cell, part in blocks.items()
-                          if part.blocks is not None or part.entries}
-                out = _grid(a.ring, _sizes(a.row_starts, a.rows), _sizes(b.col_starts, b.cols),
-                            blocks) if blocks else SparseMatrixR(a.ring, a.rows, b.cols)
-            else:
-                out = self.join(a.rows, b.cols, terms)
-            self.products[key] = (terms, out)  # holding terms keeps their ids unique
-        return self.products[key][1]
+        if key in self.products:
+            return self.products[key]
+        a, b = terms[0]
+        if all(lhs.blocks is not None and rhs.blocks is not None
+               and lhs.row_starts == a.row_starts and rhs.col_starts == b.col_starts
+               and lhs.col_starts == rhs.row_starts for lhs, rhs in terms):
+            cells: dict[tuple[int, int], list] = {}
+            for lhs, rhs in terms:
+                for (i, j), left in lhs.blocks.items():
+                    for (j2, k), right in rhs.blocks.items():
+                        if j == j2:
+                            cells.setdefault((i, k), []).append((left, right))
+            blocks = {cell: self.product(tuple(pairs)) for cell, pairs in cells.items()}
+            blocks = {cell: part for cell, part in blocks.items()
+                      if part.blocks is not None or part.entries}
+            out = _grid(a.ring, _sizes(a.row_starts, a.rows), _sizes(b.col_starts, b.cols),
+                        blocks) if blocks else SparseMatrixR(a.ring, a.rows, b.cols)
+        else:
+            out = self.join(a.rows, b.cols, terms)
+        if all(lhs.cached and rhs.cached for lhs, rhs in terms):
+            self.products[key] = out
+        return out
 
     def join(self, n_rows: int, n_cols: int, terms: list) -> SparseMatrixR:
         """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a join on value ids.
@@ -368,8 +389,8 @@ class _ProductRun:
         """
         found = []
         for lhs, rhs in terms:
-            a_row, a_mid, a_val = _arrays(lhs, self.intern, np.intp, self.node_arrays)
-            b_mid, b_col, b_val = _arrays(rhs, self.intern, np.intp, self.node_arrays)
+            a_row, a_mid, a_val = _arrays(lhs, self.intern, np.intp, {}, self.node_arrays)
+            b_mid, b_col, b_val = _arrays(rhs, self.intern, np.intp, {}, self.node_arrays)
             by_mid = np.argsort(b_mid, kind="stable")
             b_mid, b_col, b_val = b_mid[by_mid], b_col[by_mid], b_val[by_mid]
             lo = np.searchsorted(b_mid, a_mid, side="left")
@@ -423,20 +444,95 @@ class _ProductRun:
         return self.expansions[(i, j)]
 
 
-# the five lines json.dumps(indent=2) gives a [row, col, "entry"] list
-# inside a differential's "entries"
-_JSON_ENTRY = "\n        [\n          %d,\n          %d,\n          %s\n        ]"
-_WRITE_CHUNK = 1 << 16  # entries formatted per write
+# (separator, row piece, entry piece) of each output format.  An entry is
+# its row piece % row, its column numeral and its entry piece % text, and
+# entries are separator-joined, so the separator opens every row piece.
+# JSON gives the five lines json.dumps(indent=2) gives a [row, col,
+# "entry"] list inside a differential's "entries".
+_JSON_PIECES = (",", ",\n        [\n          %d,\n          ", ",\n          %s\n        ]")
+_TEXT_PIECES = ("", "%d ", " %s\n")
+_WRITE_CHUNK = 1 << 16  # entries per join and fh.write
 
 
-def _write_entries(fh, template: str, sep: str, fields) -> None:
-    """template % entry for each entry of the (rows, cols, texts) arrays, sep-joined.
+def _entry_writer(pieces: tuple, text):
+    """write(fh, step): write step's entries in (row, col) order as pieces; return their number.
 
-    The arrays become Python lists one chunk at a time.
+    Each entry is three pieces.  Its entry piece is formatted, from
+    text(entry), once per distinct Element object, and each cached leaf's
+    arrays are built once, over all the steps one writer writes.  Rows
+    come sorted, so a chunk covers a range of rows: each row piece of the
+    range and each distinct column numeral of the chunk is formatted once,
+    and numpy gathers the pieces for one join per chunk.
     """
-    for lo in range(0, len(fields[0]), _WRITE_CHUNK):
-        chunk = (a[lo:lo + _WRITE_CHUNK].tolist() for a in fields)
-        fh.write((sep if lo else "") + sep.join(map(template.__mod__, zip(*chunk))))
+    sep, row, entry = pieces
+    cached, codes, texts = {}, {}, []  # leaf arrays, {id(Element): code}, code -> entry piece
+
+    def code(e) -> int:
+        texts.append(entry % text(e))
+        return len(texts) - 1
+
+    def write(fh, step: SparseMatrixR) -> int:
+        keys, ids = _keyed(step, code, np.intp, cached, codes)
+        order = np.argsort(keys)
+        pieces = np.array(texts, dtype=object)
+        for lo in range(0, order.size, _WRITE_CHUNK):
+            fh.write(joined(keys, ids, pieces, order[lo:lo + _WRITE_CHUNK], step.cols, lo == 0))
+        return order.size
+
+    def joined(keys, ids, pieces, at, width: int, first: bool) -> str:
+        """The entries at positions `at` of keys and ids; the first of a step has no separator."""
+        r, c = np.divmod(keys[at], width)
+        r0, c0 = int(r[0]), int(c.min())
+        seen = np.zeros(int(c.max()) - c0 + 1, dtype=bool)
+        seen[c - c0] = True
+        heads = [row % i for i in range(r0, int(r[-1]) + 1)]
+        numerals = list(map(str, (np.flatnonzero(seen) + c0).tolist()))
+        # each entry's row piece, numeral and entry piece in the table of all three
+        index = np.empty((at.size, 3), dtype=np.intp)
+        index[:, 0] = r + (pieces.size - r0)
+        index[:, 1] = (np.cumsum(seen) + (pieces.size + len(heads) - 1))[c - c0]
+        index[:, 2] = ids[at]
+        table = np.concatenate([pieces, np.array(heads + numerals, dtype=object)])
+        out = table[index.ravel()].tolist()
+        if first:
+            out[0] = out[0][len(sep):]
+        return "".join(out)
+    return write
+
+
+def _keyed(mat: SparseMatrixR, fn, dtype, cached: dict | None = None,
+           images: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The position key row * mat.cols + col and fn(entry) of each entry of mat, unordered.
+
+    mat's own grids are walked, not concatenated: each cached node and
+    fresh leaf below them gives its arrays (`_arrays`, with the memos
+    `cached` and `images`), and these go straight into the result.
+    """
+    if mat.rows * mat.cols > np.iinfo(np.intp).max:
+        raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
+    memo: dict = {}
+    parts = [(_arrays(node, fn, dtype, memo, cached, images), r0 * mat.cols + c0)
+             for node, r0, c0 in _cached_parts(mat, 0, 0)]
+    keys = np.empty(sum(vals.size for (_, _, vals), _ in parts), np.intp)
+    at = 0
+    for (rows, cols, vals), shift in parts:
+        out = keys[at:at + vals.size]
+        np.multiply(rows, mat.cols, out=out)
+        out += cols + shift
+        at += vals.size
+    return keys, np.concatenate([vals for (_, _, vals), _ in parts] or [np.empty(0, dtype)])
+
+
+def _cached_parts(mat: SparseMatrixR, r0: int, c0: int):
+    """(node, row offset, column offset) of each cached node and fresh leaf that makes up mat.
+
+    Only fresh grids are walked into, so a cached node's blocks are not.
+    """
+    if mat.cached or mat.blocks is None:
+        yield mat, r0, c0
+    else:
+        for (i, j), part in mat.blocks.items():
+            yield from _cached_parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -452,8 +548,13 @@ def _negated(e: Element) -> Element:
 
 
 def _shared(build):
-    """Cache a matrix constructor; the matrix it hands out, and each of its leaves, is read-only."""
-    def freeze(m):
+    """Cache a matrix constructor; the matrix it hands out, and each of its nodes, is read-only.
+
+    Every node of the matrix is marked `cached`, so memos keyed by node
+    ids may keep it beyond one step or one product.
+    """
+    def freeze(m, parts=None):
+        m.cached = True
         if type(m.entries) is dict:
             m.entries = MappingProxyType(m.entries)
 
@@ -461,7 +562,7 @@ def _shared(build):
     @wraps(build)
     def cached(*args):
         out = build(*args)
-        _per_node(out, freeze, lambda m, parts: None, {})
+        _per_node(out, freeze, freeze, {})
         return out
     return cached
 
@@ -752,19 +853,21 @@ class Resolution:
         doc = json.dumps({**self._summary(), "steps": []}, sort_keys=True, indent=2)
         head, _, tail = doc.partition('"steps": []')
         fh.write(head + '"steps": [')
+        write_entries = _entry_writer(_JSON_PIECES, lambda e: json.dumps(str(e)))
         for k, step in enumerate(self.steps):
             fh.write(("," if k else "") + '\n    {\n      "cols": %d,\n      "entries": [' % step.cols)
-            _write_entries(fh, _JSON_ENTRY, ",", step._formatted(lambda e: json.dumps(str(e))))
-            fh.write(("\n      ]" if step.entries else "]") + ',\n      "rows": %d\n    }' % step.rows)
+            written = write_entries(fh, step)
+            fh.write(("\n      ]" if written else "]") + ',\n      "rows": %d\n    }' % step.rows)
         fh.write(("\n  ]" if self.steps else "]") + tail + "\n")
 
     def write_text(self, fh) -> None:
         """Write each step as "# step i: rows x cols" then one "row col entry" line per entry."""
         if not self.steps:
             fh.write("\n")
+        write_entries = _entry_writer(_TEXT_PIECES, str)
         for idx, step in enumerate(self.steps, start=1):
             fh.write(f"# step {idx}: {step.rows} x {step.cols}\n")
-            _write_entries(fh, "%d %d %s\n", "", step._formatted())
+            write_entries(fh, step)
 
 
 def _ideal_step(spec: ScrollSpec, target: str, i: int) -> tuple[SparseMatrixR, int, str]:

@@ -448,20 +448,30 @@ def assert_streams_match_reference(res):
     assert streamed(res, "text") == reference_text(res)
 
 
+def chunk_sizes(monkeypatch):
+    """Each write chunk size to test: the default, then sizes that split steps and rows."""
+    from scrollres import resolution
+    for chunk in (resolution._WRITE_CHUNK, 1, 2, 7):
+        monkeypatch.setattr(resolution, "_WRITE_CHUNK", chunk)
+        yield chunk
+
+
 @pytest.mark.parametrize("blocks", [(2, 2), (3, 3), (2, 5), (4, 3), (5, 4)])
-def test_streamed_output_matches_json_and_text_reference(blocks):
+def test_streamed_output_matches_json_and_text_reference(blocks, monkeypatch):
     spec = build_scroll(list(blocks))
-    for steps in range(1, 6):
-        assert_streams_match_reference(field_resolution(spec, steps))
+    for _ in chunk_sizes(monkeypatch):
+        for steps in range(1, 6):
+            assert_streams_match_reference(field_resolution(spec, steps))
 
 
-def test_streamed_output_matches_reference_on_faults():
+def test_streamed_output_matches_reference_on_faults(monkeypatch):
     res = field_resolution(S33, 4)
-    for kind in FAULT_KINDS:
-        assert_streams_match_reference(inject_fault(res, kind))
+    for _ in chunk_sizes(monkeypatch):
+        for kind in FAULT_KINDS:
+            assert_streams_match_reference(inject_fault(res, kind))
 
 
-def test_streamed_output_empty_step_and_fraction():
+def test_streamed_output_empty_step_and_fraction(monkeypatch):
     ring = ring_for(S33)
     half = ring.var_elem(2).scalar_mul(Fraction(-1, 2))
     first = SparseMatrixR(ring, 1, 3, [((0, 2), half), ((0, 0), ring.var_elem(1))])
@@ -470,12 +480,74 @@ def test_streamed_output_empty_step_and_fraction():
                                       ((0, 0), half)])
     res = Resolution(S33, "field \"α\"", [first, empty, last], [1, 3, 2, 2],
                      ["variables", "tab\tand ü", 'quote "steps": []'])
-    assert_streams_match_reference(res)
-    doc = json.loads(streamed(res, "json"))
-    assert doc["steps"][1]["entries"] == []
-    assert doc["steps"][0]["entries"][1] == [0, 2, "-1/2*x2"]
-    assert streamed(res, "text").splitlines()[3] == "# step 2: 3 x 2"
-    assert_streams_match_reference(Resolution(S33, "field", [], [1]))
+    for _ in chunk_sizes(monkeypatch):
+        assert_streams_match_reference(res)
+        doc = json.loads(streamed(res, "json"))
+        assert doc["steps"][1]["entries"] == []
+        assert doc["steps"][0]["entries"][1] == [0, 2, "-1/2*x2"]
+        assert streamed(res, "text").splitlines()[3] == "# step 2: 3 x 2"
+        assert_streams_match_reference(Resolution(S33, "field", [], [1]))
+
+
+def test_positions_beyond_intp_are_refused():
+    ring = ring_for(S33)
+    huge = SparseMatrixR(ring, 2**32, 2**32, [((2**32 - 1, 0), ring.one())])
+    with pytest.raises(OverflowError):
+        huge.to_json_obj()
+    with pytest.raises(OverflowError):
+        streamed(Resolution(S33, "field", [huge], [2**32, 2**32]), "text")
+
+
+def test_one_write_formats_each_element_once(monkeypatch):
+    """Steps share cached nodes and Element objects; a write formats each object once."""
+    from scrollres.ring import Element
+
+    res = field_resolution(S22, 40)
+    objects = {id(e) for step in res.steps for e in step.entries.values()}
+    calls = []
+
+    def counted(e):
+        calls.append(id(e))
+        return real_str(e)
+
+    real_str = Element.__str__
+    monkeypatch.setattr(Element, "__str__", counted)
+    for fmt in ("json", "text"):
+        calls.clear()
+        streamed(res, fmt)
+        assert sorted(calls) == sorted(objects)
+
+
+def test_one_write_keeps_no_fault_beyond_its_step():
+    """A faulted step's entries reach no other step through the write's memos.
+
+    For blocks (2,2) steps 5 to 8 are built from the same cached nodes, so
+    a fault in one of them would show in the others if it leaked.
+    """
+    res = field_resolution(S22, 8)
+    for step in (5, 6, 7):
+        for kind in FAULT_KINDS:
+            assert_streams_match_reference(inject_fault(res, kind, step))
+    # a faulty copy of one block, beside its shared siblings
+    res = field_resolution(S45, 5)
+    k = third_phi2_copy(res.steps[4])
+    bad5 = with_block(res.steps[4], k, faulty_copy(res.steps[4], k, lambda e: -e))
+    assert_streams_match_reference(Resolution(S45, "field", res.steps[:4] + [bad5],
+                                              list(res.ranks)))
+
+
+def test_cached_constructors_mark_their_nodes():
+    def nodes(mat):
+        return [mat] + [n for part in (mat.blocks or {}).values() for n in nodes(part)]
+
+    for mat in (phi0(S45), phi1(S45), phi2(S45), phi(S45, 4), _phi(S45, 3, -1),
+                alpha(S45, 0), alpha(S45, 3)):
+        assert all(n.cached for n in nodes(mat))
+    steps = field_resolution(S45, 5).steps
+    assert not any(step.cached for step in steps)
+    assert steps[4].blocks[0, 1] is alpha(S45, 3)
+    assert not steps[4].blocks[0, 0].cached and not steps[4].blocks[1, 1].cached
+    assert not phi(S45, 1).copy().cached and not (-phi(S45, 1)).cached
 
 
 def test_formatted_entries_are_in_position_order():
@@ -672,16 +744,24 @@ def test_one_product_memo_serves_the_whole_check(monkeypatch):
         calls["mul"] += 1
         return real_mul(a, b)
 
+    class Run(resolution._ProductRun):
+        def __init__(self):
+            super().__init__()
+            runs.append(self)
+
     real_join, real_mul = resolution._ProductRun.join, Element.__mul__
     monkeypatch.setattr(resolution._ProductRun, "join", join)
     monkeypatch.setattr(Element, "__mul__", mul)
-    joins = []
+    monkeypatch.setattr("scrollres.checks._ProductRun", Run)
+    joins, runs = [], []
     for steps in (30, 3000):  # (2,2) is 2-periodic from step 4 on
         res = field_resolution(S22, steps)
         calls["join"] = 0
         assert check_complex(res).ok
         joins.append(calls["join"])
-    assert joins[0] == joins[1]
+    assert joins == [13, 13]
+    # only products of cached nodes are kept, and those recur
+    assert len(runs) == 2 and len(runs[0].products) == len(runs[1].products)
     res = field_resolution(S45, 6)
     calls["mul"] = 0
     assert check_complex(res).ok
