@@ -65,7 +65,21 @@ def _dump(obj, out_path: str | None, fmt: str = "json") -> None:
         write(sys.stdout)
 
 
+def _printable_betti(spec: ScrollSpec, i: int, option: str) -> None:
+    """Refuse an index whose Betti number is too long to print.
+
+    Python caps int-to-decimal conversion at sys.get_int_max_str_digits()
+    digits, where it has that cap (0 means none).  The Betti numbers grow
+    with i, so beta_i bounds every number printed up to i.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and betti(spec, i) >= 10**limit:
+        raise ValueError(f"{option} {i}: beta_{i} has more than {limit} digits, "
+                         "the integer-to-string limit of this Python")
+
+
 def cmd_betti(args) -> int:
+    _printable_betti(args.scroll, args.max, "--max")
     values = [betti(args.scroll, i) for i in range(args.max + 1)]
     if args.format == "json":
         _dump({"blocks": list(args.scroll.blocks),
@@ -77,6 +91,7 @@ def cmd_betti(args) -> int:
 
 def cmd_hilbert(args) -> int:
     if args.format == "json":
+        _printable_betti(args.scroll, args.terms, "--terms")
         _dump(series_json(args.scroll, args.terms), args.out)
     else:
         coeffs = hilbert_coefficients(args.scroll, args.terms)

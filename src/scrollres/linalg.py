@@ -1,12 +1,13 @@
 """Exact linear algebra over a prime field F_p.
 
-`rank_modp` and `nullspace_modp` are the entry points.  They take an
-`Entries` matrix: coordinate lists whose values add up at a repeated
-coordinate.  The matrices this package builds are sparse and
-block-diagonal up to a permutation, so both split the entries into the
-connected components of the row-column graph, build a dense block for
-each component only, and reduce it with `rref_modp`, the one
-elimination loop.  No array of the whole matrix is allocated.
+`rank_modp` and `nullspace_modp` are the entry points.  `Entries`, coordinate
+lists whose values add up at a repeated coordinate, is the one matrix
+format they take and the one `nullspace_modp` returns.  The matrices
+this package builds are sparse and block-diagonal up to a permutation,
+so both split the entries into the connected components of the
+row-column graph, build a dense block for each component only, and
+reduce it with `rref_modp`, the one elimination loop.  No array of the
+whole matrix or of the whole kernel basis is allocated.
 
 The same few blocks repeat many times along the diagonal, so within one
 call each distinct component is built and reduced once.  Components are
@@ -165,24 +166,25 @@ def rank_modp(a: Entries, p: int) -> int:
                _reduced(a, p, lambda b: rref_modp(b, p)[1]))
 
 
-def nullspace_modp(a: Entries, p: int) -> np.ndarray:
-    """Basis of the right kernel over F_p, returned as int64 columns.
+def nullspace_modp(a: Entries, p: int) -> Entries:
+    """Basis of the right kernel over F_p, as an n x nullity `Entries`.
 
     One column per non-pivot column c of the reduced row echelon form, in
-    increasing c: 1 at c, minus column c of R at the pivot positions,
-    0 elsewhere.  Columns without entries give unit vectors.
+    increasing c: 1 at c, minus column c of R at the pivot positions, and
+    nothing elsewhere.  Columns without entries give unit vectors.  Each
+    coordinate appears once, in row-major order, valued in [1, p) (float64).
     """
     n = a.shape[1]
     free = np.ones(n, dtype=bool)
-    parts = []
+    parts = []  # (rows, free columns, values) of each component's entries
     for cs, (R, pivots) in _reduced(a, p, lambda b: rref_modp(b, p)):
         free[cs[pivots]] = False
-        parts.append((cs, pivots, R[:len(pivots)]))
-    slot = np.cumsum(free) - 1  # basis column of each free column
-    basis = np.zeros((n, int(free.sum())), dtype=np.int64)
-    fc = np.flatnonzero(free)
-    basis[fc, slot[fc]] = 1
-    for cs, pivots, R in parts:
         f = np.flatnonzero(free[cs])
-        basis[cs[pivots, None], slot[cs[f]]] = np.mod(-R[:, f], p)
-    return basis
+        block = np.mod(-R[:len(pivots), f], p)
+        r, c = np.nonzero(block)
+        parts.append((cs[pivots][r], cs[f][c], block[r, c]))
+    fc = np.flatnonzero(free)
+    rows, cols, vals = (np.concatenate(x) for x in zip((fc, fc, np.ones(fc.size)), *parts))
+    order = np.lexsort((cols, rows))
+    slot = np.cumsum(free) - 1  # basis column of each free column
+    return Entries((n, fc.size), rows[order], slot[cols[order]], vals[order])

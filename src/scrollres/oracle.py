@@ -22,6 +22,10 @@ where d_i is assembled from a kernel basis in degree i, so its image in
 degrees i+1 and i+2 is exactly the submodule generated by that kernel
 (degree i+2 additionally uses that beta_{i,i+1} = 0; a nonzero value
 there is reported as a linearity failure in its own right).
+
+Each differential is the previous kernel basis as F_p coordinates, and
+each degree matrix is reduced once: the kernel of (d_i)_{i+1} is d_{i+1}
+and gives rank (d_i)_{i+1}; an empty kernel makes all later entries 0.
 """
 from __future__ import annotations
 
@@ -95,23 +99,24 @@ def multiplication_map(spec: ScrollSpec, var: int, d: int) -> np.ndarray:
     return out
 
 
-def _degree_matrix(spec: ScrollSpec, cstack: np.ndarray, a: int) -> Entries:
+def _degree_matrix(spec: ScrollSpec, d: Entries, a: int) -> Entries:
     """Degree piece of a differential whose entries are linear forms.
 
-    `cstack` has shape (G_out, n, G_in): coefficient of x_{v+1} in the
-    (g, h) entry.  The returned matrix maps (h, mu in R_a) to
-    (g, normal form of x*mu in R_{a+1}), one entry per nonzero
-    coefficient and mu.
+    `d` holds the differential as coordinates, in the layout of the
+    kernel basis it was taken from: the coefficient of x_{v+1} in the
+    (g, h) entry sits at row g*n + v, column h.  The returned matrix maps
+    (h, mu in R_a) to (g, normal form of x*mu in R_{a+1}), one entry per
+    entry of `d` and mu.
     """
-    g_out, n, g_in = cstack.shape
+    n = spec.n
     rb = len(graded_basis(spec, a + 1))
     ra = len(graded_basis(spec, a))
     tables = np.array([_mult_table(spec, v + 1, a) for v in range(n)])
-    g, v, h = np.nonzero(cstack)
+    g, v = np.divmod(d.rows, n)
     rows = g[:, None] * rb + tables[v]
-    cols = h[:, None] * ra + np.arange(ra)
-    return Entries((g_out * rb, g_in * ra), rows.ravel(), cols.ravel(),
-                   np.repeat(cstack[g, v, h], ra))
+    cols = d.cols[:, None] * ra + np.arange(ra)
+    return Entries((d.shape[0] // n * rb, d.shape[1] * ra), rows.ravel(), cols.ravel(),
+                   np.repeat(d.vals, ra))
 
 
 def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
@@ -132,42 +137,33 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     n = spec.n
     # the augmentation kernel starts in degree 1
     table = BettiTable(p, {(0, 0): 1, (1, 0): 0}, imax)
-
-    def rdim(d: int) -> int:
-        return len(graded_basis(spec, d))
-
     # step 1 starts from d_0, the augmentation: ker(d_0)_j = R_j for j >= 1,
     # so over its one generator the degree-1 kernel basis is the identity
-    g_prev = 1  # generators of F_{i-1}
-    kernel = np.eye(n, dtype=np.int64)
-    nullity = {2: rdim(2), 3: rdim(3)}  # ker(d_{i-1})_j, j = i+1 and i+2
+    kernel = Entries((n, n), np.arange(n), np.arange(n), np.ones(n))
+    # ker(d_{i-1}) in degrees i+1 and i+2
+    near, far = len(graded_basis(spec, 2)), len(graded_basis(spec, 3))
     for i in range(1, imax + 1):
         if i > 1:
             # degree i-1: columns of d_{i-1} there are the kernel basis itself
-            m_lo = _degree_matrix(spec, cstack, 0)
-            table.entries[(i, i - 1)] = m_lo.shape[1] - rank_modp(m_lo, p)
-            # degree i: fresh minimal generators
-            kernel = nullspace_modp(_degree_matrix(spec, cstack, 1), p)
-        g_cur = kernel.shape[1]
-        table.entries[(i, i)] = g_cur
-        if i + 2 not in nullity:
-            m = _degree_matrix(spec, cstack, 3)
-            nullity[i + 2] = m.shape[1] - rank_modp(m, p)
-        if g_cur == 0:
-            table.entries[(i, i + 1)] = nullity[i + 1]
-            table.entries[(i, i + 2)] = nullity[i + 2]
-            for ii in range(i + 1, imax + 1):
-                for jj in range(ii - 1, ii + 3):
-                    table.entries[(ii, jj)] = 0
-            return table
-        cstack = kernel.reshape(g_prev, n, g_cur)  # d_i
-        r_up = rank_modp(_degree_matrix(spec, cstack, 1), p)
-        table.entries[(i, i + 1)] = nullity[i + 1] - r_up
-        r_up2 = rank_modp(_degree_matrix(spec, cstack, 2), p)
-        table.entries[(i, i + 2)] = nullity[i + 2] - r_up2
-        # the next step reads ker(d_i)_{i+2}; ker(d_i)_{i+3} is done lazily
-        nullity = {i + 2: g_cur * rdim(2) - r_up2}
-        g_prev = g_cur
+            m = _degree_matrix(spec, d, 0)
+            table.entries[(i, i - 1)] = m.shape[1] - rank_modp(m, p)
+            m = _degree_matrix(spec, d, 3)
+            far = m.shape[1] - rank_modp(m, p)
+        # degree i: the kernel's columns are the fresh minimal generators,
+        # and the kernel is d_i
+        d = kernel
+        table.entries[(i, i)] = d.shape[1]
+        m = _degree_matrix(spec, d, 1)
+        if i < imax:  # ker(d_i)_{i+1} is the next step's kernel
+            kernel = nullspace_modp(m, p)
+            rank = m.shape[1] - kernel.shape[1]
+        else:
+            rank = rank_modp(m, p)
+        table.entries[(i, i + 1)] = near - rank
+        m = _degree_matrix(spec, d, 2)
+        rank = rank_modp(m, p)
+        table.entries[(i, i + 2)] = far - rank
+        near = m.shape[1] - rank  # ker(d_i)_{i+2}
     return table
 
 

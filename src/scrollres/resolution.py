@@ -784,6 +784,7 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
     diagonal x_{m+1} / -x_m square matrix split by the I1/I2 summands,
     stored as m-1 and then p-1 scalar identities the size of phi_i's rows,
     so its blocks line up with the phi copies of both neighbouring steps.
+    Every alpha_i of one size is one matrix (for blocks (2,2), all i >= 1).
     """
     _require_two_blocks(spec)
     ring = ring_for(spec)
@@ -801,7 +802,13 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
         for r in range(2, p + 1):
             out.entries[(m + r - 1, m + r - 2)] = ring.var_elem(m, -1)
         return out
-    w = (n - 2) * (n - 3) ** (i - 1)  # the rows of phi_i
+    return _alpha_diagonal(spec, (n - 2) * (n - 3) ** (i - 1))
+
+
+@_shared
+def _alpha_diagonal(spec: ScrollSpec, w: int) -> SparseMatrixR:
+    """alpha_i for i >= 1, where phi_i has w rows."""
+    m, p = spec.m, spec.p
     return direct_sum([_scalar_identity(spec, m + 1, 1, w)] * (m - 1)
                       + [_scalar_identity(spec, m, -1, w)] * (p - 1))
 

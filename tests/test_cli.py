@@ -281,6 +281,27 @@ def test_steps_beyond_the_bound_are_refused(tmp_path, capsys, monkeypatch):
     assert resolution.MAX_STEPS >= 3000
 
 
+def test_betti_numbers_too_long_to_print_are_refused_first(capsys, monkeypatch):
+    from scrollres import series
+
+    def boom(spec, order):
+        raise AssertionError("the Poincare series was computed")
+    monkeypatch.setattr(series, "poincare_coeffs", boom)
+    limit = sys.get_int_max_str_digits()
+    for argv, index in ((["betti", "--scroll", "3,3", "--max", "20000"], "--max 20000"),
+                        (["betti", "--scroll", "3,3", "--max", "20000", "--format", "json"],
+                         "--max 20000"),
+                        (["hilbert", "--scroll", "3,3", "--terms", "10000", "--format", "json"],
+                         "--terms 10000")):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), argv
+        assert captured.err == (f"error: {index}: beta_{index.split()[1]} has more than "
+                                f"{limit} digits, the integer-to-string limit of this Python\n")
+    rc, out = run(capsys, ["betti", "--scroll", "3,3", "--max", "8000"])
+    assert rc == 0 and len(out.split()) == 8001
+
+
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "no" / "such" / "F")
     for argv in (["betti", "--scroll", "2,2", "--max", "2", "--format", "json"],

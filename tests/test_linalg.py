@@ -18,6 +18,13 @@ def entries(mat):
     return Entries(mat.shape, rows, cols, mat[rows, cols])
 
 
+def dense(a):
+    """The int64 array of an `Entries` matrix whose values are exact integers."""
+    out = np.zeros(a.shape, dtype=np.int64)
+    np.add.at(out, (a.rows, a.cols), a.vals.astype(np.int64))
+    return out
+
+
 def reference_rank(rows, p):
     a = [[int(x) % p for x in row] for row in rows]
     m, n = len(a), len(a[0]) if len(rows) else 0
@@ -92,7 +99,7 @@ def test_component_split_rank_and_nullspace():
             mat = permuted_block_diagonal(rng, p)
             rank = reference_rank(mat.tolist(), p)
             assert rank_modp(entries(mat), p) == rank
-            basis = nullspace_modp(entries(mat), p)
+            basis = dense(nullspace_modp(entries(mat), p))
             assert basis.shape == (mat.shape[1], mat.shape[1] - rank)
             if basis.size:
                 assert not (mat @ basis % p).any()
@@ -120,8 +127,8 @@ def test_repeated_coordinates_add_up():
             order = rng.permutation(r.size)
             a = Entries(mat.shape, r[order], c[order], vals[order])
             assert rank_modp(a, p) == rank_modp(entries(mat), p)
-            assert np.array_equal(nullspace_modp(a, p),
-                                  nullspace_modp(entries(mat), p))
+            assert np.array_equal(dense(nullspace_modp(a, p)),
+                                  dense(nullspace_modp(entries(mat), p)))
 
 
 def test_entry_equal_to_p_links_row_and_column():
@@ -134,7 +141,7 @@ def test_entry_equal_to_p_links_row_and_column():
     np.add.at(block, (ri, ci), vals)
     assert block.tolist() == [[1, p], [0, 1]]
     assert rank_modp(a, p) == 2
-    assert nullspace_modp(a, p).tolist() == [[0], [0], [1]]
+    assert dense(nullspace_modp(a, p)).tolist() == [[0], [0], [1]]
 
 
 def reference_nullspace(mat, p):
@@ -155,7 +162,27 @@ def assert_matches_dense_reference(a, p):
     mat = np.zeros(a.shape)
     np.add.at(mat, (a.rows, a.cols), a.vals)
     assert rank_modp(a, p) == len(rref_modp(mat, p)[1])
-    assert np.array_equal(nullspace_modp(a, p), reference_nullspace(mat, p))
+    assert np.array_equal(dense(nullspace_modp(a, p)), reference_nullspace(mat, p))
+
+
+def test_kernel_of_repeated_blocks_keeps_their_sparsity():
+    p = 101
+    rng = np.random.default_rng(17)
+    block = (rng.integers(0, p, size=(3, 2)) @ rng.integers(0, p, size=(2, 7))) % p
+    rows, cols = np.nonzero(block)
+    one = nullspace_modp(entries(block), p)
+    assert one.shape == (7, 5)
+    for k in (1, 4, 50):
+        a = diagonal([(rows, cols, block[rows, cols], block.shape)] * k)
+        basis = nullspace_modp(a, p)
+        n, nullity = basis.shape
+        assert (n, nullity) == (7 * k, 5 * k)
+        # linear in k, while n * nullity grows as k**2
+        assert basis.vals.size == k * one.vals.size < n * nullity / k
+        assert np.array_equal(dense(basis), reference_nullspace(dense(a), p))
+        # exact integers in [1, p), each coordinate once, in row-major order
+        assert np.all((basis.vals >= 1) & (basis.vals < p) & (basis.vals % 1 == 0))
+        assert np.all(np.diff(basis.rows * nullity + basis.cols) > 0)
 
 
 def diagonal(components, extra=(0, 0), order=None):
@@ -278,7 +305,7 @@ def test_no_entries_rank_zero_kernel_identity():
     for shape in ((0, 4), (3, 4), (3, 0)):
         a = Entries(shape, none, none, np.zeros(0))
         assert rank_modp(a, 101) == 0
-        assert np.array_equal(nullspace_modp(a, 101),
+        assert np.array_equal(dense(nullspace_modp(a, 101)),
                               np.eye(shape[1], dtype=np.int64))
 
 
@@ -316,7 +343,7 @@ def test_nullspace_properties():
             mat = (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
         else:
             mat = np.zeros((m, n), dtype=int)
-        basis = nullspace_modp(entries(mat), p)
+        basis = dense(nullspace_modp(entries(mat), p))
         assert basis.shape == (n, n - reference_rank(mat.tolist(), p))
         if basis.size:
             assert int((mat @ basis % p).max()) == 0
@@ -325,7 +352,7 @@ def test_nullspace_properties():
 
 
 def test_nullspace_zero_rows():
-    basis = nullspace_modp(entries(np.zeros((0, 4))), 101)
+    basis = dense(nullspace_modp(entries(np.zeros((0, 4))), 101))
     assert basis.shape == (4, 4)
     assert np.array_equal(basis, np.eye(4, dtype=np.int64))
 
