@@ -44,13 +44,11 @@ class RationalForm:
     den: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.den or self.den[0] == 0:
-            raise ValueError("denominator must have a nonzero constant term")
+        if not self.den or self.den[0] not in (1, -1):
+            raise ValueError("denominator must have a unit constant term")
 
     def series(self, order: int) -> "IntSeries":
-        num = list(self.num) + [0] * (order + 1)
-        den = list(self.den) + [0] * (order + 1)
-        return IntSeries(tuple(_series_divide(num, den, order)), order)
+        return IntSeries(tuple(_series_divide(self.num, self.den, order)), order)
 
 
 @dataclass(frozen=True)
@@ -67,34 +65,25 @@ class IntSeries:
         return self.coefficients[i]
 
 
-def _series_divide(num: list[int], den: list[int], order: int) -> list[int]:
-    if den[0] not in (1, -1):
-        raise ValueError("series division needs a unit constant term")
-    inv0 = den[0]
-    out = []
+def _series_divide(num: tuple[int, ...], den: tuple[int, ...],
+                   order: int) -> list[int]:
+    """num / den through t**order; den[0] is +-1, so it is its own inverse.
+
+    Each coefficient subtracts only the denominator's own terms, so the
+    cost is O(order * len(den)).
+    """
+    out: list[int] = []
     for i in range(order + 1):
-        acc = num[i]
-        for j in range(1, i + 1):
+        acc = num[i] if i < len(num) else 0
+        for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * out[i - j]
-        out.append(acc * inv0)
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        out.append(acc * den[0])
     return out
 
 
 def _binomial_power(c: int, e: int) -> list[int]:
     """(1 + c*t)**e as a coefficient list."""
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, [1, c])
-    return out
+    return [comb(e, j) * c**j for j in range(e + 1)]
 
 
 def initial_ideal_generators(spec: ScrollSpec) -> list[Monomial]:
@@ -189,9 +178,8 @@ def poincare_coeffs(spec: ScrollSpec, order: int) -> IntSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     k, n = spec.k, spec.n
-    num = _binomial_power(1, k + 1) + [0] * (order + 1)
-    den = [1, -(n - k - 1)] + [0] * (order + 1)
-    return IntSeries(tuple(_series_divide(num, den, order)), order)
+    return RationalForm(tuple(_binomial_power(1, k + 1)),
+                        (1, -(n - k - 1))).series(order)
 
 
 def betti(spec: ScrollSpec, i: int) -> int:

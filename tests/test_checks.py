@@ -46,6 +46,21 @@ def test_probe_rank_known_values():
     assert probe_rank(phi(S33, 0), claimed=1, seed=2).probe == 1
 
 
+def test_probe_rank_draws_only_the_seeds_it_runs(monkeypatch):
+    drawn = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args, **kwargs):
+            if args == (2**32,):
+                drawn.append(1)
+            return super().randrange(*args, **kwargs)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    rep = probe_rank(phi(S33, 2), trials=10**6, claimed=(S33.n - 3) ** 2, seed=3)
+    assert rep.ok
+    assert len(drawn) == rep.probes_run == len(rep.trial_seeds)
+
+
 def test_probe_rank_monotone_and_bounded():
     mat = phi(S43, 2)
     claimed = (S43.n - 3) ** 2

@@ -146,6 +146,24 @@ def test_verify_refuses_trials_below_one(capsys, monkeypatch):
             assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
 
+def test_verify_refuses_exact_check_with_nothing_to_check(capsys, monkeypatch):
+    for steps in ("1", "0"):
+        with monkeypatch.context() as m:
+            refuse_builds(m)
+            argv = ["verify", "--scroll", "3,3", "--steps", steps,
+                    "--checks", "exact"]
+            assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --checks exact needs --steps of at least 2: "
+                                "exactness at step i uses steps i and i+1, "
+                                f"got {steps}\n")
+    rc, out = run(capsys, ["verify", "--scroll", "3,3", "--steps", "2",
+                           "--checks", "exact"])
+    assert rc == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["exact@1"]
+
+
 def test_verify_passes_and_reports(capsys):
     rc, out = run(capsys, ["verify", "--scroll", "3,3", "--steps", "3",
                            "--checks", "complex,minimal,exact",

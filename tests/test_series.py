@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 from math import comb
 
@@ -145,6 +146,8 @@ def test_rational_form_validation():
     with pytest.raises(ValueError):
         RationalForm((1,), (0, 1))
     with pytest.raises(ValueError):
+        RationalForm((1,), (2, 1))
+    with pytest.raises(ValueError):
         IntSeries((1, 2), 3)
 
 
@@ -153,6 +156,19 @@ def test_poincare_3_3_and_2_2():
     assert poincare_coeffs(S22, 4).coefficients == (1, 4, 7, 8, 8)
     for blocks in [(2, 3), (4, 4), (2, 2, 2)]:
         assert poincare_coeffs(build_scroll(blocks), 0)[0] == 1
+
+
+def test_series_expansion_is_linear_in_the_order():
+    # quadratic-time division needs about a minute for these two
+    order = 20000
+    k, q = S33.k, S33.n - S33.k - 1
+    t0 = time.monotonic()
+    p = poincare_coeffs(S33, order)
+    h = hilbert_coefficients(S33, order)
+    assert time.monotonic() - t0 < 5
+    for i in (0, 1, 2, 3, order - 1, order):
+        assert p[i] == betti(S33, i)
+        assert h[i] == comb(i + k, k) + q * comb(i + k - 1, k)
 
 
 def test_betti_closed_sum():
