@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .linalg import is_prime, rank_modp
 from .resolution import Resolution, SparseMatrixR, _ProductRun, phi, staircase
 from .ring import Element, ring_for
-from .scrolls import ScrollSpec
+from .scrolls import FAULT_KINDS, ScrollSpec
 from .series import hilbert_coefficients
 
 
@@ -497,9 +497,6 @@ def _is_power_of(e: Element, var_index: int, power: int) -> bool:
 
 
 # -- fault injection (used to prove the checkers can fail) ----------------
-
-FAULT_KINDS = ("sign_flip", "variable_swap", "unit_insert")
-
 
 def inject_fault(res: Resolution, kind: str, step: int = 3) -> Resolution:
     """Return a copy of the resolution with one mutated entry in `step` (1-based)."""

@@ -18,13 +18,10 @@ import json
 import os
 import sys
 
-from .checks import (FAULT_KINDS, check_complex, check_exactness,
-                     check_minimality, check_phi_ranks, groebner_consistency,
-                     inject_fault, minor_certificate)
-from .linalg import MAX_MODULUS, is_prime
-from .oracle import betti_oracle, compare_with_formula
-from .resolution import Resolution, field_resolution
-from .scrolls import ScrollSpec, build_scroll
+# the package registers these four lazily: through the module objects,
+# betti, hilbert and faces run without loading them, or numpy
+from . import checks, linalg, oracle, resolution
+from .scrolls import FAULT_KINDS, ScrollSpec, build_scroll
 from .series import betti, face_numbers, hilbert_coefficients, series_json
 
 USAGE_ERROR = 2
@@ -44,15 +41,16 @@ def _count_arg(text: str) -> int:
     return int(text)
 
 
-def _dump(obj, out_path: str | None, fmt: str = "json") -> None:
+def _dump(obj, out_path: str | None) -> None:
     """Write obj to out_path, or to stdout without one.
 
-    A Resolution streams itself in fmt ("json" or "text"), so a large one
-    is never held as one string; a str is written as it is; any other
-    object is small and goes through json.dumps before the file is opened.
+    A callable is a writer that streams to the file it is given, as
+    Resolution.write_json does, so a large resolution is never held as
+    one string; a str is written as it is; any other object is small and
+    goes through json.dumps before the file is opened.
     """
-    if isinstance(obj, Resolution):
-        write = obj.write_text if fmt == "text" else obj.write_json
+    if callable(obj):
+        write = obj
     else:
         text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -110,7 +108,8 @@ def cmd_faces(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    _dump(field_resolution(args.scroll, args.steps), args.out, args.format)
+    res = resolution.field_resolution(args.scroll, args.steps)
+    _dump(res.write_text if args.format == "text" else res.write_json, args.out)
     return 0
 
 
@@ -123,40 +122,40 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown check {c!r}; choose from {sorted(known)}")
     if not wanted or len(set(wanted)) < len(wanted):
         raise ValueError(f"--checks must name each check once, got {args.checks!r}")
-    if not (2 < args.modulus < MAX_MODULUS and is_prime(args.modulus)):
+    if not (2 < args.modulus < linalg.MAX_MODULUS and linalg.is_prime(args.modulus)):
         raise ValueError(f"--modulus must be a prime p with 2 < p < 2**26, got {args.modulus}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if "exact" in wanted and args.steps < 2:
         raise ValueError("--checks exact needs --steps of at least 2: exactness "
                          f"at step i uses steps i and i+1, got {args.steps}")
-    res = field_resolution(spec, args.steps)
+    res = resolution.field_resolution(spec, args.steps)
     if args.inject_fault:
-        res = inject_fault(res, args.inject_fault)
+        res = checks.inject_fault(res, args.inject_fault)
     reports = []
     for c in wanted:
         if c == "complex":
-            reports.append(check_complex(res).to_json_obj())
+            reports.append(checks.check_complex(res).to_json_obj())
         elif c == "minimal":
-            reports.append(check_minimality(res).to_json_obj())
+            reports.append(checks.check_minimality(res).to_json_obj())
         elif c == "exact":
             for i in range(1, len(res.steps)):
                 reports.append(
-                    check_exactness(res, i, args.modulus, args.trials,
-                                    args.seed).to_json_obj()
+                    checks.check_exactness(res, i, args.modulus, args.trials,
+                                           args.seed).to_json_obj()
                 )
         elif c == "ranks":
-            for rep in check_phi_ranks(spec, 3, args.modulus, args.trials,
-                                       args.seed):
+            for rep in checks.check_phi_ranks(spec, 3, args.modulus,
+                                              args.trials, args.seed):
                 reports.append(rep.to_json_obj())
         elif c == "groebner":
-            reports.append(groebner_consistency(spec, 4).to_json_obj())
+            reports.append(checks.groebner_consistency(spec, 4).to_json_obj())
         elif c == "minors":
             targets = [("phi0", None), ("phi1", None), ("phi2", None)]
             targets += [("staircase", d) for d in range(2, spec.n)]
             for target, d in targets:
                 for var in range(1, spec.n + 1):
-                    cert = minor_certificate(spec, target, var, d=d)
+                    cert = checks.minor_certificate(spec, target, var, d=d)
                     reports.append({
                         "name": f"minor:{cert.target}:x{var}",
                         "target": str(spec),
@@ -172,7 +171,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.compare:
-        rep = compare_with_formula(args.scroll, args.imax, args.modulus)
+        rep = oracle.compare_with_formula(args.scroll, args.imax, args.modulus)
         table = rep.pop("table")
         out = dict(rep)
         out["diagonal"] = [str(v) for v in out["diagonal"]]
@@ -184,7 +183,7 @@ def cmd_oracle(args) -> int:
         out["betti_table"] = table.to_json_obj()
         _dump(out, args.out)
         return 0 if rep["ok"] else 1
-    table = betti_oracle(args.scroll, args.imax, args.modulus)
+    table = oracle.betti_oracle(args.scroll, args.imax, args.modulus)
     _dump(table.to_json_obj(), args.out)
     return 0
 

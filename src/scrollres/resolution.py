@@ -65,6 +65,7 @@ block pair exercised by the test suite).
 """
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
@@ -855,8 +856,6 @@ class Resolution:
         The summary goes through json around an empty "steps" list, which
         the differentials then fill one at a time, without a tree.
         """
-        import json  # here, not at the top: `import scrollres` does not load json
-
         doc = json.dumps({**self._summary(), "steps": []}, sort_keys=True, indent=2)
         head, _, tail = doc.partition('"steps": []')
         fh.write(head + '"steps": [')

@@ -171,3 +171,9 @@ def minor_generators(spec: ScrollSpec) -> tuple[Binomial, ...]:
         out.append(Binomial(plus, minus))
     out.sort(key=lambda g: (g.plus, g.minus), reverse=True)
     return tuple(out)
+
+
+# The faults `checks.inject_fault` can plant in a resolution.  They are
+# named here, in the numpy-free layer, so that the CLI can offer them as
+# `verify --inject-fault` choices without loading `checks`.
+FAULT_KINDS = ("sign_flip", "variable_swap", "unit_insert")

@@ -211,15 +211,20 @@ def koszul_defect(spec: ScrollSpec, order: int) -> list[int]:
 
 
 def series_json(spec: ScrollSpec, order: int) -> dict:
-    """Machine-readable summary; large integers as decimal strings."""
+    """Machine-readable summary; large integers as decimal strings.
+
+    The Poincare coefficients are the Betti numbers, so "poincare" and
+    "betti" share one formatted list.
+    """
     fv = face_numbers(spec)
     hs = hilbert_series(spec)
+    bettis = [str(c) for c in poincare_coeffs(spec, order).coefficients]
     return {
         "f_vector": [str(c) for c in fv.counts],
         "hilbert": {
             "num": [str(c) for c in hs.num],
             "den": [str(c) for c in hs.den],
         },
-        "poincare": [str(c) for c in poincare_coeffs(spec, order).coefficients],
-        "betti": [str(betti(spec, i)) for i in range(order + 1)],
+        "poincare": bettis,
+        "betti": bettis,
     }

@@ -114,11 +114,11 @@ def test_modulus_beyond_exact_range_is_usage_error(capsys):
 
 def refuse_builds(monkeypatch):
     """Make building a resolution in the CLI fail the test."""
-    import scrollres.cli as cli
+    from scrollres import resolution
 
     def boom(spec, steps):
         raise AssertionError("the resolution was built")
-    monkeypatch.setattr(cli, "field_resolution", boom)
+    monkeypatch.setattr(resolution, "field_resolution", boom)
 
 
 def test_verify_refuses_modulus_that_is_not_a_usable_prime(capsys, monkeypatch):
@@ -355,7 +355,6 @@ def test_reader_closing_stdout_early_is_not_an_error():
 
 def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch):
     """exact and export work on distinct blocks: no step's entries are listed."""
-    import scrollres.cli as cli
     from scrollres import resolution
 
     steps = set()
@@ -377,7 +376,7 @@ def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch):
         return real_join(run, rows, cols, terms)
 
     real_walk, real_join = resolution._walk, resolution._ProductRun.join
-    monkeypatch.setattr(cli, "field_resolution", recording)
+    monkeypatch.setattr(resolution, "field_resolution", recording)
     monkeypatch.setattr(resolution, "_walk", walk)
     monkeypatch.setattr(resolution._ProductRun, "join", join)
     exact = ["verify", "--scroll", "4,5", "--steps", "6",
