@@ -19,15 +19,18 @@ Storage.  A matrix is either a leaf, whose entries are a dict
 and a {(i, j): block} dict, each block filling its cell and shared, not
 copied (`_grid`).  phi_i for i >= 2, alpha_i for i >= 1, the ideal steps
 and the cone steps are grids over shared nodes (the cached phi and
--phi matrices, the u/v blocks, scalar identities), so a differential is
-a tree with few distinct nodes although its entries grow like (n-3)^i.
-phi0, phi1 and the staircases are leaves.  The layout follows the
-mapping cone: a direct sum is a diagonal grid, phi_i (i >= 3) is the
+-phi matrices, the u/v blocks, the scalar identities), so a differential
+is a tree with few distinct nodes although its entries grow like
+(n-3)^i.  phi0, phi1 and the staircases are leaves.  The layout follows
+the mapping cone: a direct sum is a diagonal grid, phi_i (i >= 3) is the
 direct sum of its three runs of copies, phi2's column bands are phi3's
 runs, and cone step i >= 3 is the 2 x 2 grid
-[I1 (+) I2 copies | alpha_{i-2}; 0 | -J copies].
-So, from phi2 and cone step 3 on, the column blocks of one differential
-are the row blocks of the next, at every level down to phi1.  A grid's
+[I1 (+) I2 copies | alpha_{i-2}; 0 | -J copies].  alpha_i (i >= 1) is
+a direct sum of scalar identities s * I on phi_i's rows, built by phi's
+own recursion (`_phi`): the direct sum of the runs over i-1, i-2 and
+i-1, down to one leaf per row band of phi_i for i <= 2.  So, from phi2
+and cone step 3 on, the column blocks of one differential are the row
+blocks of the next, at every level down to phi1.  A grid's
 `entries` is a read-only view that lists entries in block order; the
 consumers on the CLI's paths (the product, `eval_modp`, the writer,
 minimality) visit each distinct node once per call instead: `_arrays`
@@ -38,15 +41,18 @@ Products.  `A @ B` is block multiplication: where both factors are grids
 and A's column starts are B's row starts, block (i, k) of the product is
 the sum over j of A[i, j] @ B[j, k], computed the same way, once per
 distinct list of (left, right) pairs.  phi_i @ phi_{i+1} so comes down
-to products at the phi1 @ phi2 level.  A leaf or blocks that do not line
-up give one join of the materialised entries of the pairs
-(`_ProductRun.join`).  The memos of node products, node arrays and
-value-pair products live in one `_ProductRun`: each `@` makes its own,
-and `check_complex` holds one for the whole check, so a pair of the
-shared nodes that recurs from step to step is multiplied once.  Only
-products of cached nodes (marked by `_shared`) are kept; a step's own
-grids never recur.  For blocks (2,2), 2-periodic from step 4 on, a check
-of any length so makes the same few joins.
+to products at the phi1 @ phi2 level, and so does each cone coupling
+phi_j (s * I) + (s * I)(-phi_j).  A leaf or blocks that do not line up
+give one join of the materialised entries of the pairs
+(`_ProductRun.join`).  The memos of node products and value-pair
+products live in one `_ProductRun`: each `@` makes its own, and
+`check_complex` holds one for the whole check, so a pair of the shared
+nodes that recurs from step to step is multiplied once.  Only products
+of cached nodes (marked by `_shared`) are kept; a step's own grids never
+recur.  The couplings of step i with step i+1 are then memo hits from
+the step before, as phi_j @ phi_{j+1} is, and on every 2-block scroll a
+check of any length makes the same joins, all in its first five
+products (the largest on (4,5) holds 686 entries over both factors).
 
 Writing.  `write_json` and `write_text` stream one step at a time.  A
 step's entries come as position keys and entry codes, gathered from its
@@ -81,15 +87,17 @@ from .scrolls import ScrollSpec
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
-# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 270 MB and
-# `verify` near 570 MB, each in under 10 s; step 7 (rank 444,528) peaks near
-# 80 MB.  Step 9 has 6x the rank and would need ~6x the memory.
+# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 240 MB and
+# `verify` near 560 MB, each in under 10 s; `verify --checks
+# complex,minimal,minors` materialises no step and takes 0.4 s at 33 MB.
+# Step 7 (rank 444,528) peaks near 80 MB.  Step 9 has 6x the rank and
+# would need ~6x the memory.
 MAX_FREE_RANK = 3 * 10**6
 # the rank guard cannot bound blocks (2,2), where beta_i = 8 for every
 # i >= 3; every other scroll stops by step 19.  This bounds the output:
 # `check_complex` on (2,2) makes the same 13 joins at any length.  At 5000
-# steps, cold on a 2-core Xeon VM: `resolve --out` 1.5 s at 45 MB peak RSS,
-# writing 7.0 MB, and `verify --checks complex,minimal` 1.2 s at 44 MB;
+# steps, cold on a 2-core Xeon VM: `resolve --out` 1.0 s at 42 MB peak RSS,
+# writing 7.0 MB, and `verify --checks complex,minimal` 0.9 s at 43 MB;
 # both grow linearly in the steps.
 MAX_STEPS = 5000
 
@@ -322,19 +330,18 @@ def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict, cached: dict | None = Non
 
 
 class _ProductRun:
-    """The memos of one `@` or one check: value ids, node arrays, value-pair and node products.
+    """The memos of one `@` or one check: value ids, value-pair and node products.
 
     Memo keys are object ids.  The node products keep pairs of cached
-    nodes only, and the node arrays cached leaves only (`_per_node`):
-    those live as long as their caches and recur from step to step,
-    while a step's own grids, and their products, are not looked up again.
+    nodes only: those live as long as their caches and recur from step
+    to step, while a step's own grids, and their products, are not
+    looked up again.
     """
 
     def __init__(self):
         self.value_ids: dict[frozenset, int] = {}
         self.values: list[Element] = []
         self.monomials: dict[tuple, int] = {}
-        self.node_arrays: dict = {}
         self.expansions: dict[tuple[int, int], tuple[list, list]] = {}
         self.products: dict[tuple, SparseMatrixR] = {}
 
@@ -390,8 +397,8 @@ class _ProductRun:
         """
         found = []
         for lhs, rhs in terms:
-            a_row, a_mid, a_val = _arrays(lhs, self.intern, np.intp, {}, self.node_arrays)
-            b_mid, b_col, b_val = _arrays(rhs, self.intern, np.intp, {}, self.node_arrays)
+            a_row, a_mid, a_val = _arrays(lhs, self.intern, np.intp, {})
+            b_mid, b_col, b_val = _arrays(rhs, self.intern, np.intp, {})
             by_mid = np.argsort(b_mid, kind="stable")
             b_mid, b_col, b_val = b_mid[by_mid], b_col[by_mid], b_val[by_mid]
             lo = np.searchsorted(b_mid, a_mid, side="left")
@@ -766,14 +773,24 @@ def phi(spec: ScrollSpec, i: int) -> SparseMatrixR:
 
 
 @_shared
-def _phi(spec: ScrollSpec, i: int, sign: int) -> SparseMatrixR:
-    """sign * phi_i, for sign = 1 or -1; -phi_i (i >= 3) is built from -phi_{i-1}, -phi_{i-2}."""
+def _phi(spec: ScrollSpec, i: int, scale) -> SparseMatrixR:
+    """scale * phi_i for scale 1 or -1; for scale (flat, sign), sign * x_flat * I on phi_i's rows.
+
+    For i >= 3 each is the direct sum of its runs over i-1, i-2 and i-1,
+    built from the cached matrices of the same scale; for i <= 2 the
+    identity is one leaf per row band of phi_i.
+    """
     if i <= 2:
         base = (phi0, phi1, phi2)[i](spec)
-        return base if sign > 0 else -base
+        if not isinstance(scale, tuple):
+            return base if scale > 0 else -base
+        ring = ring_for(spec)
+        e = ring.var_elem(*scale)
+        bands = _sizes(base.row_starts, base.rows) if base.blocks else [base.rows]
+        return direct_sum([_leaf(ring, h, h, {(r, r): e for r in range(h)}) for h in bands])
     m, p, n = spec.m, spec.p, spec.n
-    runs = [[_phi(spec, i - 1, sign)] * (m - 2), [_phi(spec, i - 2, sign)] * (n - 3),
-            [_phi(spec, i - 1, sign)] * (p - 2)]
+    runs = [[_phi(spec, i - 1, scale)] * (m - 2), [_phi(spec, i - 2, scale)] * (n - 3),
+            [_phi(spec, i - 1, scale)] * (p - 2)]
     return direct_sum([direct_sum(run) for run in runs if run])
 
 
@@ -783,9 +800,10 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
 
     alpha_0 is the n x (n-1) two-band matrix; for i >= 1 alpha_i is the
     diagonal x_{m+1} / -x_m square matrix split by the I1/I2 summands,
-    stored as m-1 and then p-1 scalar identities the size of phi_i's rows,
-    so its blocks line up with the phi copies of both neighbouring steps.
-    Every alpha_i of one size is one matrix (for blocks (2,2), all i >= 1).
+    stored as m-1 and then p-1 scalar identities laid out as phi_i's rows
+    (`_phi`), so its blocks line up with the phi copies of both
+    neighbouring steps at every level.  For blocks (2,2) every phi_i has
+    its two rows in one band, and every alpha_i (i >= 1) is alpha_1.
     """
     _require_two_blocks(spec)
     ring = ring_for(spec)
@@ -803,23 +821,9 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
         for r in range(2, p + 1):
             out.entries[(m + r - 1, m + r - 2)] = ring.var_elem(m, -1)
         return out
-    return _alpha_diagonal(spec, (n - 2) * (n - 3) ** (i - 1))
-
-
-@_shared
-def _alpha_diagonal(spec: ScrollSpec, w: int) -> SparseMatrixR:
-    """alpha_i for i >= 1, where phi_i has w rows."""
-    m, p = spec.m, spec.p
-    return direct_sum([_scalar_identity(spec, m + 1, 1, w)] * (m - 1)
-                      + [_scalar_identity(spec, m, -1, w)] * (p - 1))
-
-
-@_shared
-def _scalar_identity(spec: ScrollSpec, flat: int, sign: int, size: int) -> SparseMatrixR:
-    """sign * x_flat times the size x size identity."""
-    ring = ring_for(spec)
-    e = ring.var_elem(flat, sign)
-    return _leaf(ring, size, size, {(r, r): e for r in range(size)})
+    if spec.blocks == (2, 2) and i > 1:
+        return alpha(spec, 1)
+    return direct_sum([_phi(spec, i, (m + 1, 1))] * (m - 1) + [_phi(spec, i, (m, -1))] * (p - 1))
 
 
 @dataclass

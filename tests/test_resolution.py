@@ -729,19 +729,21 @@ def test_matmul_on_fault_injected_steps_matches_reference(blocks):
                 assert not report.ok and report.details == want
 
 
-def test_one_product_memo_serves_the_whole_check(monkeypatch):
+# alpha's scalar identities nest as phi's rows do, so the couplings of one
+# depth are memo hits at the next; (2,2) is 2-periodic from step 4 on
+@pytest.mark.parametrize("blocks, depths", [((2, 2), (30, 3000)), ((3, 3), (6, 11)),
+                                            ((2, 5), (6, 8)), ((4, 5), (6, 8)),
+                                            ((5, 4), (6, 8))],
+                         ids=["2-2", "3-3", "2-5", "4-5", "5-4"])
+def test_one_product_memo_serves_the_whole_check(blocks, depths, joins, monkeypatch):
     """Node and value pairs that recur from step to step are multiplied once per check."""
     from scrollres import resolution
     from scrollres.ring import Element
 
-    calls = {"join": 0, "mul": 0}
-
-    def join(run, rows, cols, terms):
-        calls["join"] += 1
-        return real_join(run, rows, cols, terms)
+    muls = [0]
 
     def mul(a, b):
-        calls["mul"] += 1
+        muls[0] += 1
         return real_mul(a, b)
 
     class Run(resolution._ProductRun):
@@ -749,24 +751,49 @@ def test_one_product_memo_serves_the_whole_check(monkeypatch):
             super().__init__()
             runs.append(self)
 
-    real_join, real_mul = resolution._ProductRun.join, Element.__mul__
-    monkeypatch.setattr(resolution._ProductRun, "join", join)
+    real_mul = Element.__mul__
     monkeypatch.setattr(Element, "__mul__", mul)
     monkeypatch.setattr("scrollres.checks._ProductRun", Run)
-    joins, runs = [], []
-    for steps in (30, 3000):  # (2,2) is 2-periodic from step 4 on
-        res = field_resolution(S22, steps)
-        calls["join"] = 0
+    spec = build_scroll(blocks)
+    counts, runs = [], []
+    for steps in depths:
+        res = field_resolution(spec, steps)
+        joins.clear()
+        muls[0] = 0
         assert check_complex(res).ok
-        joins.append(calls["join"])
-    assert joins == [13, 13]
-    # only products of cached nodes are kept, and those recur
-    assert len(runs) == 2 and len(runs[0].products) == len(runs[1].products)
-    res = field_resolution(S45, 6)
-    calls["mul"] = 0
-    assert check_complex(res).ok
-    # every entry is some +-x_v: at most (2n)^2 distinct value pairs
-    assert calls["mul"] <= (2 * S45.n) ** 2
+        counts.append(len(joins))
+        # every entry is some +-x_v: at most (2n)^2 distinct value pairs
+        assert muls[0] <= (2 * spec.n) ** 2
+    assert counts[0] == counts[1]
+    if blocks == (2, 2):
+        assert counts == [13, 13]
+        # only products of cached nodes are kept, and those recur
+        assert len(runs) == 2 and len(runs[0].products) == len(runs[1].products)
+
+
+def test_blocks_2_2_keep_one_alpha():
+    """Every phi_i of blocks (2,2) has its two rows in one band: one alpha serves all i >= 1."""
+    assert all(alpha(S22, i) is alpha(S22, 1) for i in range(1, 51))
+    steps = field_resolution(S22, 5000).steps
+    assert {id(step.blocks[0, 1]) for step in steps[2:]} == {id(alpha(S22, 1))}
+
+
+@pytest.mark.parametrize("blocks, steps, faulted", [((3, 3), 10, 8), ((2, 5), 8, 7)])
+def test_faults_at_late_steps_are_caught(blocks, steps, faulted):
+    res = field_resolution(build_scroll(blocks), steps)
+    for kind in FAULT_KINDS:
+        bad = inject_fault(res, kind, faulted)
+        assert all(b is s for k, (b, s) in enumerate(zip(bad.steps, res.steps))
+                   if k != faulted - 1)
+        assert bad.steps[faulted - 1] is not res.steps[faulted - 1]
+        report = check_complex(bad)
+        assert not report.ok
+        assert report.details["pair"] in ((faulted - 2, faulted - 1), (faulted - 1, faulted))
+        report = check_minimality(bad)
+        assert report.ok == (kind != "unit_insert")
+        if not report.ok:
+            assert report.details["step"] == faulted - 1
+    assert check_complex(res).ok and check_minimality(res).ok
 
 
 def test_alpha_products_match_reference():
