@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .linalg import is_prime, rank_modp
+from .linalg import is_prime, rank_modp, require_exact_modulus
 from .resolution import Resolution, SparseMatrixR, _ProductRun, phi, staircase
 from .ring import Element, ring_for
 from .scrolls import FAULT_KINDS, ScrollSpec
@@ -114,7 +114,8 @@ def probe_rank(
     When `claimed` is a known upper bound for the true rank, probing
     stops as soon as it is attained; the max over trials is unchanged.
     """
-    if modulus <= 2 or not is_prime(modulus):
+    require_exact_modulus(modulus)
+    if modulus == 2 or not is_prime(modulus):
         raise ValueError("modulus must be a prime > 2")
     if trials < 1:
         raise ValueError("need at least one trial")

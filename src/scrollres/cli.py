@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,6 +26,8 @@ from .scrolls import FAULT_KINDS, ScrollSpec, build_scroll
 from .series import betti, face_numbers, hilbert_coefficients, series_json
 
 USAGE_ERROR = 2
+# the checks `verify` runs; the first four are its default
+CHECKS = ("complex", "minimal", "exact", "minors", "ranks", "groebner")
 
 
 def _scroll_arg(text: str) -> ScrollSpec:
@@ -68,10 +71,14 @@ def _printable_betti(spec: ScrollSpec, i: int, option: str) -> None:
 
     Python caps int-to-decimal conversion at sys.get_int_max_str_digits()
     digits, where it has that cap (0 means none).  The Betti numbers grow
-    with i, so beta_i bounds every number printed up to i.
+    with i, so beta_i bounds every number printed up to i.  beta_i is at
+    least q**i for q = n - k - 1, so an index whose q**i has a digit to
+    spare over the cap is refused without computing beta_i, an integer
+    of about i * log10(q) digits.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and betti(spec, i) >= 10**limit:
+    q = spec.n - spec.k - 1
+    if limit and ((q > 1 and i * math.log10(q) > limit + 1) or betti(spec, i) >= 10**limit):
         raise ValueError(f"{option} {i}: beta_{i} has more than {limit} digits, "
                          "the integer-to-string limit of this Python")
 
@@ -116,10 +123,9 @@ def cmd_resolve(args) -> int:
 def cmd_verify(args) -> int:
     spec = args.scroll
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = {"complex", "minimal", "exact", "minors", "ranks", "groebner"}
     for c in wanted:
-        if c not in known:
-            raise ValueError(f"unknown check {c!r}; choose from {sorted(known)}")
+        if c not in CHECKS:
+            raise ValueError(f"unknown check {c!r}; choose from {sorted(CHECKS)}")
     if not wanted or len(set(wanted)) < len(wanted):
         raise ValueError(f"--checks must name each check once, got {args.checks!r}")
     if not (2 < args.modulus < linalg.MAX_MODULUS and linalg.is_prime(args.modulus)):
@@ -230,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run certification checks (k=2)")
     common(sp, ("json",))
     sp.add_argument("--steps", type=int, default=4)
-    sp.add_argument("--checks", default="complex,minimal,exact,minors",
-                    help="comma list: complex,minimal,exact,minors,ranks,groebner")
+    sp.add_argument("--checks", default=",".join(CHECKS[:4]),
+                    help=f"comma list: {','.join(CHECKS)}")
     sp.add_argument("--modulus", type=int, default=32003)
     sp.add_argument("--trials", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)

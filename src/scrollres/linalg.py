@@ -45,6 +45,19 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def require_exact_modulus(p: int) -> None:
+    """Refuse a modulus outside [2, MAX_MODULUS).
+
+    Callers run this before `is_prime`, whose trial division takes time
+    proportional to the square root of the modulus.
+    """
+    if not 2 <= p < MAX_MODULUS:
+        raise ValueError(
+            f"modulus {p} is outside 2 <= p < 2**26, the range where "
+            "float64 elimination over F_p is exact"
+        )
+
+
 def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
     """In-place signed residue of a mod p, exact, for float64 integer arrays.
 
@@ -116,11 +129,7 @@ def _blocks(a: Entries, p: int):
     components, which is still sound.  Moduli outside [2, MAX_MODULUS)
     are refused here, for both entry points.
     """
-    if not 2 <= p < MAX_MODULUS:
-        raise ValueError(
-            f"modulus {p} is outside 2 <= p < 2**26, the range where "
-            "float64 elimination over F_p is exact"
-        )
+    require_exact_modulus(p)
     m = a.shape[0]
     u, v = a.rows, a.cols + m
     label = np.arange(m + a.shape[1])

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Entries, is_prime, nullspace_modp, rank_modp
+from .linalg import Entries, is_prime, nullspace_modp, rank_modp, require_exact_modulus
 from .ring import ring_for
 from .scrolls import ScrollSpec
 from .series import betti
@@ -125,6 +125,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     Entries are stored for the window j in {i-1, i, i+1, i+2} at each
     homological step i <= imax, plus beta_{0,0} = 1.
     """
+    require_exact_modulus(modulus)
     if not is_prime(modulus):
         raise ValueError("modulus must be prime")
     if spec.n > _MAX_N or imax > _MAX_IMAX:

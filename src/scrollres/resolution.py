@@ -43,8 +43,10 @@ the sum over j of A[i, j] @ B[j, k], computed the same way, once per
 distinct list of (left, right) pairs.  phi_i @ phi_{i+1} so comes down
 to products at the phi1 @ phi2 level, and so does each cone coupling
 phi_j (s * I) + (s * I)(-phi_j).  A leaf or blocks that do not line up
-give one join of the materialised entries of the pairs
-(`_ProductRun.join`).  The memos of node products and value-pair
+give one join of the pairs' entries (`_ProductRun.join`), a plain loop:
+the right factor's entries are bucketed by row, and each contribution
+adds the terms of its value pair's product, multiplied once, to its
+position's sums.  The memos of node products and value-pair
 products live in one `_ProductRun`: each `@` makes its own, and
 `check_complex` holds one for the whole check, so a pair of the shared
 nodes that recurs from step to step is multiplied once.  Only products
@@ -83,7 +85,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .linalg import Entries
-from .scrolls import ScrollSpec
+from .scrolls import ScrollSpec, scroll_matrix
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
@@ -332,17 +334,19 @@ def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict, cached: dict | None = Non
 class _ProductRun:
     """The memos of one `@` or one check: value ids, value-pair and node products.
 
-    Memo keys are object ids.  The node products keep pairs of cached
+    Equal entry values share one id (`intern`), so each distinct pair of
+    values is multiplied and normal-formed once per run (`expansion`).
+    The node products are keyed by object ids and keep pairs of cached
     nodes only: those live as long as their caches and recur from step
     to step, while a step's own grids, and their products, are not
-    looked up again.
+    looked up again.  A check makes a few small joins on every 2-block
+    scroll, so the joins are loops over Python lists, not numpy.
     """
 
     def __init__(self):
         self.value_ids: dict[frozenset, int] = {}
         self.values: list[Element] = []
-        self.monomials: dict[tuple, int] = {}
-        self.expansions: dict[tuple[int, int], tuple[list, list]] = {}
+        self.expansions: dict[tuple[int, int], tuple] = {}
         self.products: dict[tuple, SparseMatrixR] = {}
 
     def intern(self, e: Element) -> int:
@@ -386,69 +390,40 @@ class _ProductRun:
         return out
 
     def join(self, n_rows: int, n_cols: int, terms: list) -> SparseMatrixR:
-        """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a join on value ids.
+        """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a loop over value ids.
 
-        Entries get value ids, a join on the inner index lists every
-        contribution (row, col, left value, right value), and the normal
-        form of each distinct value pair is expanded into its terms and
-        summed per (row, col, monomial).  The sums run over an object
-        array, so int and Fraction coefficients stay exact, and need no
-        second normal form: normal form is linear on standard monomials.
+        Entries get value ids, the right factor's entries are bucketed by
+        row, and each contribution (row, col, left value, right value)
+        adds the terms of its value pair's product to its position's
+        {monomial: coeff} sums.  The coefficients stay exact ints and
+        Fractions, and the sums need no second normal form: normal form
+        is linear on standard monomials.
         """
-        found = []
+        sums: dict[tuple[int, int], dict] = {}
         for lhs, rhs in terms:
-            a_row, a_mid, a_val = _arrays(lhs, self.intern, np.intp, {})
-            b_mid, b_col, b_val = _arrays(rhs, self.intern, np.intp, {})
-            by_mid = np.argsort(b_mid, kind="stable")
-            b_mid, b_col, b_val = b_mid[by_mid], b_col[by_mid], b_val[by_mid]
-            lo = np.searchsorted(b_mid, a_mid, side="left")
-            width = np.searchsorted(b_mid, a_mid, side="right") - lo
-            left = np.repeat(np.arange(a_mid.size), width)
-            right = _ranges(lo, width)
-            found.append((a_row[left], b_col[right], a_val[left], b_val[right]))
-        a_row, b_col, a_val, b_val = (np.concatenate(f) for f in zip(*found))
-        nv = len(self.values)
-        pairs, pair_of = np.unique(a_val * nv + b_val, return_inverse=True)
-
-        term_mono, term_coeff = [], []
-        term_start = np.zeros(pairs.size + 1, dtype=np.intp)
-        for j, pair in enumerate(pairs.tolist()):
-            monos, coeffs = self.expansion(*divmod(pair, nv))
-            term_mono += monos
-            term_coeff += coeffs
-            term_start[j + 1] = len(term_mono)
-
-        n_terms = np.diff(term_start)[pair_of]
-        term = _ranges(term_start[:-1][pair_of], n_terms)
-        rows = np.repeat(a_row, n_terms)
-        cols = np.repeat(b_col, n_terms)
-        mono = np.array(term_mono, dtype=np.intp)[term]
-        coeff = np.array(term_coeff, dtype=object)[term]
-        order = np.lexsort((mono, cols, rows))
-        rows, cols, mono, coeff = rows[order], cols[order], mono[order], coeff[order]
-        new = np.ones(rows.size, dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]) | (mono[1:] != mono[:-1])
-        first = np.flatnonzero(new)
-        sums = np.add.reduceat(coeff, first)
-        nonzero = np.flatnonzero(sums != 0)
-
-        by_mono = list(self.monomials)
-        raw: dict[tuple[int, int], dict] = {}
-        for r, c, m, total in zip(rows[first[nonzero]].tolist(), cols[first[nonzero]].tolist(),
-                                  mono[first[nonzero]].tolist(), sums[nonzero]):
-            if isinstance(total, Fraction) and total.denominator == 1:
-                total = int(total)
-            raw.setdefault((r, c), {})[by_mono[m]] = total
+            a_row, a_mid, a_val = (x.tolist() for x in _arrays(lhs, self.intern, np.intp, {}))
+            b_mid, b_col, b_val = (x.tolist() for x in _arrays(rhs, self.intern, np.intp, {}))
+            by_mid: dict[int, list] = {}
+            for mid, col, right in zip(b_mid, b_col, b_val):
+                by_mid.setdefault(mid, []).append((col, right))
+            for row, mid, left in zip(a_row, a_mid, a_val):
+                for col, right in by_mid.get(mid, ()):
+                    acc = sums.setdefault((row, col), {})
+                    for mono, coeff in self.expansion(left, right):
+                        acc[mono] = acc.get(mono, 0) + coeff
         ring = terms[0][0].ring
-        return _leaf(ring, n_rows, n_cols, {pos: Element(ring, t) for pos, t in raw.items()})
+        out = {}
+        for pos, acc in sums.items():
+            kept = {mono: int(total) if isinstance(total, Fraction) and total.denominator == 1
+                    else total for mono, total in acc.items() if total}
+            if kept:
+                out[pos] = Element(ring, kept)
+        return _leaf(ring, n_rows, n_cols, out)
 
-    def expansion(self, i: int, j: int) -> tuple[list, list]:
-        """Monomial ids and coefficients of values[i] * values[j], multiplied once."""
+    def expansion(self, i: int, j: int) -> tuple:
+        """The (monomial, coeff) terms of values[i] * values[j], multiplied once."""
         if (i, j) not in self.expansions:
-            prod = self.values[i] * self.values[j]
-            self.expansions[(i, j)] = (
-                [self.monomials.setdefault(m, len(self.monomials)) for m in prod.terms],
-                list(prod.terms.values()))
+            self.expansions[(i, j)] = tuple((self.values[i] * self.values[j]).terms.items())
         return self.expansions[(i, j)]
 
 
@@ -541,12 +516,6 @@ def _cached_parts(mat: SparseMatrixR, r0: int, c0: int):
     else:
         for (i, j), part in mat.blocks.items():
             yield from _cached_parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(counts.sum()) + np.repeat(starts - (ends - counts), counts)
 
 
 @lru_cache(maxsize=None)
@@ -643,24 +612,16 @@ def _require_two_blocks(spec: ScrollSpec) -> None:
         )
 
 
-def _phi0_columns(spec: ScrollSpec) -> list[tuple[int, int]]:
-    """(top, bottom) flat variable indices per column of phi0 (1-based)."""
-    m, n = spec.m, spec.n
-    cols = [(j + 1, j) for j in range(1, m)]           # (x_{j+1}, -x_j)
-    cols += [(j + 1, j) for j in range(m + 1, n)]      # (x_{j+1}, -x_j), 2nd block
-    return cols
-
-
 @_shared
 def phi0(spec: ScrollSpec) -> SparseMatrixR:
-    """2 x (n-2): second row of the scroll matrix over minus its first."""
+    """2 x (n-2): the scroll matrix's bottom row over minus its top row."""
     _require_two_blocks(spec)
     ring = ring_for(spec)
-    out = SparseMatrixR(ring, 2, spec.n - 2)
-    for c, (top, bot) in enumerate(_phi0_columns(spec)):
-        out.entries[(0, c)] = ring.var_elem(top, 1)
-        out.entries[(1, c)] = ring.var_elem(bot, -1)
-    return out
+    out = {}
+    for c, (top, bottom) in enumerate(zip(*scroll_matrix(spec))):
+        out[(0, c)] = ring.var_elem(bottom.flat, 1)
+        out[(1, c)] = ring.var_elem(top.flat, -1)
+    return _leaf(ring, 2, spec.n - 2, out)
 
 
 def staircase(spec: ScrollSpec, d: int) -> SparseMatrixR:
@@ -705,12 +666,10 @@ def u_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
     if not 0 <= i <= m - 3:
         raise ValueError(f"u block index {i} out of range 0..{m - 3}")
     ring = ring_for(spec)
-    out = SparseMatrixR(ring, (m - 2) * (n - 2), n - 2)
+    top, _ = scroll_matrix(spec)
     row = i * (n - 2) + m - 1  # 0-based
-    tops = [j for j in range(1, m)] + [j for j in range(m + 1, n)]
-    for c, flat in enumerate(tops):
-        out.entries[(row, c)] = ring.var_elem(flat, 1)
-    return out
+    return _leaf(ring, (m - 2) * (n - 2), n - 2,
+                 {(row, c): ring.var_elem(v.flat, 1) for c, v in enumerate(top)})
 
 
 def v_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
@@ -720,12 +679,10 @@ def v_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
     if not 0 <= i <= p - 3:
         raise ValueError(f"v block index {i} out of range 0..{p - 3}")
     ring = ring_for(spec)
-    out = SparseMatrixR(ring, (p - 2) * (n - 2), n - 2)
+    _, bottom = scroll_matrix(spec)
     row = i * (n - 2) + m - 2  # 0-based
-    bottoms = [j for j in range(2, m + 1)] + [j for j in range(m + 2, n + 1)]
-    for c, flat in enumerate(bottoms):
-        out.entries[(row, c)] = ring.var_elem(flat, -1)
-    return out
+    return _leaf(ring, (p - 2) * (n - 2), n - 2,
+                 {(row, c): ring.var_elem(v.flat, -1) for c, v in enumerate(bottom)})
 
 
 @_shared
@@ -811,16 +768,14 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
     if i < 0:
         raise ValueError("alpha index must be non-negative")
     if i == 0:
-        out = SparseMatrixR(ring, n, n - 1)
-        for r in range(m):
-            out.entries[(r, r)] = ring.var_elem(m + 1, 1)
+        out = {(r, r): ring.var_elem(m + 1, 1) for r in range(m)}
         for l in range(1, p):
-            out.entries[(m - 1, m - 1 + l)] = ring.var_elem(m + 1 + l, 1)
+            out[(m - 1, m - 1 + l)] = ring.var_elem(m + 1 + l, 1)
         for c in range(1, m + 1):
-            out.entries[(m, c - 1)] = ring.var_elem(c, -1)
+            out[(m, c - 1)] = ring.var_elem(c, -1)
         for r in range(2, p + 1):
-            out.entries[(m + r - 1, m + r - 2)] = ring.var_elem(m, -1)
-        return out
+            out[(m + r - 1, m + r - 2)] = ring.var_elem(m, -1)
+        return _leaf(ring, n, n - 1, out)
     if spec.blocks == (2, 2) and i > 1:
         return alpha(spec, 1)
     return direct_sum([_phi(spec, i, (m + 1, 1))] * (m - 1) + [_phi(spec, i, (m, -1))] * (p - 1))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,13 @@ def test_scroll_point_lies_on_all_minors():
 def test_probe_rank_zero_matrix():
     rep = probe_rank(SparseMatrixR(ring_for(S33), 5, 7), trials=2, seed=1)
     assert rep.probe == 0
+
+
+def test_probe_rank_refuses_a_modulus_beyond_the_exact_range_first():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"2\*\*26"):
+        probe_rank(phi(S33, 1), modulus=10**18 + 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_probe_rank_known_values():

@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from scrollres.cli import main
+from scrollres.cli import _printable_betti, main
 from scrollres.resolution import field_resolution
 from scrollres.scrolls import build_scroll
+from scrollres.series import betti
 
 
 def run(capsys, argv):
@@ -107,6 +110,18 @@ def test_modulus_beyond_exact_range_is_usage_error(capsys):
                   "--checks", "exact", "--modulus", "2147483647"],
                  ["oracle", "--scroll", "3,3", "--modulus", "2147483647"]):
         assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2**26" in captured.err
+
+
+def test_modulus_far_beyond_exact_range_is_refused_before_primality(capsys):
+    """Trial division of 10**18 + 3 would run for minutes; the range check comes first."""
+    for argv in (["oracle", "--scroll", "3,3", "--modulus", "1000000000000000003"],
+                 ["oracle", "--compare", "--scroll", "3,3", "--modulus", "1000000000000000003"]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "2**26" in captured.err
@@ -318,6 +333,32 @@ def test_betti_numbers_too_long_to_print_are_refused_first(capsys, monkeypatch):
                                 f"{limit} digits, the integer-to-string limit of this Python\n")
     rc, out = run(capsys, ["betti", "--scroll", "3,3", "--max", "8000"])
     assert rc == 0 and len(out.split()) == 8001
+
+
+def test_indices_far_past_the_digit_limit_are_refused_at_once(capsys):
+    limit = sys.get_int_max_str_digits()
+    for argv, index in ((["betti", "--scroll", "4,5", "--max", "100000000"], "--max 100000000"),
+                        (["hilbert", "--scroll", "4,5", "--format", "json",
+                          "--terms", "100000000"], "--terms 100000000")):
+        start = time.perf_counter()
+        rc = main(argv)
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), argv
+        assert captured.err == (f"error: {index}: beta_100000000 has more than "
+                                f"{limit} digits, the integer-to-string limit of this Python\n")
+    # near the cut-off the bound beta_i >= q**i leaves the verdict to the exact comparison
+    for blocks, q in (((4, 5), 6), ((2, 3), 2), ((2, 2), 1)):
+        spec = build_scroll(blocks)
+        cut = int(limit / math.log10(q)) if q > 1 else 100
+        for i in range(cut - 10, cut + 11):
+            too_long = betti(spec, i) >= 10**limit
+            try:
+                _printable_betti(spec, i, "--max")
+            except ValueError:
+                assert too_long, (blocks, i)
+            else:
+                assert not too_long, (blocks, i)
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):

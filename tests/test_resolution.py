@@ -985,6 +985,25 @@ def test_fault_in_one_copy_of_a_repeated_tile_is_found():
     assert not report.ok and report.details == want.details
 
 
+def test_joins_of_whole_steps_multiply_each_value_pair_once(joins, monkeypatch):
+    """Each product of dict-backed steps is one join, and its value pairs are memo hits."""
+    from scrollres.ring import Element
+
+    muls = [0]
+
+    def mul(a, b):
+        muls[0] += 1
+        return real_mul(a, b)
+
+    real_mul = Element.__mul__
+    res = materialised(field_resolution(S45, 6))
+    monkeypatch.setattr(Element, "__mul__", mul)
+    assert check_complex(res).ok
+    assert len(joins) == len(res.steps) - 1 and max(joins) > 10**5
+    # every entry is some +-x_v: at most (2n)^2 distinct value pairs
+    assert 0 < muls[0] <= (2 * S45.n) ** 2
+
+
 def test_unit_in_one_copy_of_a_repeated_tile_is_found():
     res = field_resolution(S45, 5)
     step5 = res.steps[4]
