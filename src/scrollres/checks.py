@@ -143,7 +143,7 @@ def check_complex(res: Resolution) -> CheckReport:
     for i, pair in enumerate(zip(res.steps, res.steps[1:])):
         prod = run.product((pair,))
         if prod.entries:
-            (r, c), e = min(prod.items_sorted())
+            (r, c), e = min(prod.entries.items())
             return CheckReport(
                 "complex", str(res.spec), False,
                 {"pair": (i, i + 1), "row": r, "col": c, "residual": str(e)},
@@ -485,6 +485,22 @@ def minor_certificate(
     return MinorCertificate(label, i, rows, list(cols), det, power, status, tried)
 
 
+def minor_reports(spec: ScrollSpec, seed: int) -> list[dict]:
+    """The JSON reports of `verify --checks minors`, one per certificate.
+
+    Every variable is certified for phi0, phi1, phi2 and each staircase(d),
+    2 <= d < n; an ambiguous certificate passes, a failed one fails.
+    """
+    targets = [("phi0", None), ("phi1", None), ("phi2", None)]
+    targets += [("staircase", d) for d in range(2, spec.n)]
+    certs = [minor_certificate(spec, target, var, d=d)
+             for target, d in targets for var in range(1, spec.n + 1)]
+    return [{"name": f"minor:{cert.target}:x{cert.var_index}", "target": str(spec),
+             "verdict": "pass" if cert.status != "failed" else "fail",
+             "details": cert.to_json_obj(), "seed": seed, "modulus": None}
+            for cert in certs]
+
+
 def _is_power_of(e: Element, var_index: int, power: int) -> bool:
     """True iff e is +- x_{var_index} ** power."""
     if len(e.terms) != 1:
@@ -508,7 +524,7 @@ def inject_fault(res: Resolution, kind: str, step: int = 3) -> Resolution:
         raise ValueError("fault step out of range")
     ring = res.steps[idx].ring
     mutated = res.steps[idx].copy()
-    (r, c), e = mutated.items_sorted()[0]
+    (r, c), e = min(mutated.entries.items())
     if kind == "sign_flip":
         mutated.entries[(r, c)] = -e
     elif kind == "variable_swap":

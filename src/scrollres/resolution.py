@@ -197,13 +197,13 @@ class SparseMatrixR:
         rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), np.float64, {})
         return Entries((self.rows, self.cols), rows, cols, vals)
 
-    def _formatted(self, fn=str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and fn(entry) arrays in (row, col) order.
+    def _formatted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and str(entry) arrays in (row, col) order.
 
-        One argsort of the position keys orders the entries; fn runs once
+        One argsort of the position keys orders the entries; str runs once
         per distinct Element object, so shared entries are formatted once.
         """
-        keys, texts = _keyed(self, fn, object)
+        keys, texts = _keyed(self, str, object)
         order = np.argsort(keys)
         return (*np.divmod(keys[order], self.cols), texts[order])
 
@@ -785,7 +785,7 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
 class Resolution:
     """A chain of differentials with their free-module ranks."""
     spec: ScrollSpec
-    target: str  # "field", "maximal ideal", "J", "I1" or "I2"
+    target: str  # "field", "J", "I1" or "I2"
     steps: list[SparseMatrixR]
     ranks: list[int]
     provenance: list[str] = field(default_factory=list)

@@ -192,6 +192,21 @@ def test_verify_passes_and_reports(capsys):
     assert all(c["verdict"] == "pass" for c in obj["checks"])
 
 
+def test_verify_runs_every_check(capsys):
+    rc, out = run(capsys, ["verify", "--scroll", "3,3", "--steps", "3",
+                           "--checks", "complex,minimal,exact,minors,ranks,groebner"])
+    assert rc == 0
+    reports = json.loads(out)["checks"]
+    assert all(r["verdict"] == "pass" for r in reports)
+    counts = {}
+    for r in reports:
+        kind = r["name"].split("@")[0].split(":")[0]
+        counts[kind] = counts.get(kind, 0) + 1
+    # exactness at steps 1 and 2; 7 minor targets and 8 rank probes on n = 6
+    assert counts == {"complex": 1, "minimal": 1, "exact": 2, "minor": 42, "rank": 8,
+                      "groebner": 1}
+
+
 def test_verify_detects_injected_fault(capsys):
     for kind in ("sign_flip", "variable_swap", "unit_insert"):
         rc, out = run(capsys, ["verify", "--scroll", "3,3", "--steps", "4",
@@ -359,6 +374,26 @@ def test_indices_far_past_the_digit_limit_are_refused_at_once(capsys):
                 assert too_long, (blocks, i)
             else:
                 assert not too_long, (blocks, i)
+
+
+def test_indices_above_the_bound_are_refused_at_once(capsys):
+    """Where beta_i never outgrows the digit limit, only MAX_INDEX stops the index."""
+    from scrollres.cli import MAX_INDEX
+
+    for argv, index in ((["betti", "--scroll", "2,2", "--max", "100000000"], "--max"),
+                        (["betti", "--scroll", "3", "--format", "json", "--max", "100000000"],
+                         "--max"),
+                        (["hilbert", "--scroll", "3,3", "--terms", "100000000"], "--terms"),
+                        (["hilbert", "--scroll", "2,2", "--format", "json",
+                          "--terms", str(MAX_INDEX + 1)], "--terms")):
+        start = time.perf_counter()
+        rc = main(argv)
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), argv
+        assert captured.err == (f"error: resource guard: {index} {argv[-1]} requested, "
+                                f"above the supported {MAX_INDEX}\n"), argv
+    assert MAX_INDEX == 10**6
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
