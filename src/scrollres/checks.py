@@ -336,13 +336,14 @@ def _triangular_determinant(mat: SparseMatrixR, rows: list[int], cols: list[int]
 
 
 def _phi1_recipe(spec: ScrollSpec, i: int) -> tuple[list[int], list[int]]:
-    """1-based rows/cols of the pure-power minor of phi1 for variable i."""
+    """1-based rows/cols of the pure-power minor of phi1 for variable i.
+
+    Off x_m and x_{m+1} it is staircase(n-2)'s recipe: the two give the
+    same rows and columns there.
+    """
     m, n = spec.m, spec.n
     w = n - 2
-    if 1 <= i <= m - 1:
-        rows = list(range(2, n - 1))
-        cols = [i + j * w for j in range(n - 3)]
-    elif i == m:
+    if i == m:
         rows = list(range(1, m - 1)) + list(range(m, n - 1))
         cols = [(m - 1) + j * w for j in range(m - 2)]
         cols += [l + (m - 2) * w for l in range(m, n - 1)]
@@ -351,8 +352,7 @@ def _phi1_recipe(spec: ScrollSpec, i: int) -> tuple[list[int], list[int]]:
         cols = [l + (m - 2) * w for l in range(1, m)]
         cols += [m + j * w for j in range(m - 1, n - 3)]
     else:
-        rows = list(range(1, n - 2))
-        cols = [i - 2 + j * w for j in range(n - 3)]
+        return _staircase_recipe(spec, n - 2, i)
     return rows, cols
 
 

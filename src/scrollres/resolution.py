@@ -64,6 +64,9 @@ per row and per distinct column of a chunk, and an entry piece, formatted
 once per distinct Element; numpy gathers them for one join per chunk
 (`_entry_writer`).  One write keeps the cached leaves' arrays and each
 Element's piece for all its steps, so blocks (2,2) pay for them once.
+`to_json_obj` and `to_text_lines` share none of this: they format each
+entry of `items_sorted()` on its own, and the writer's output must equal
+theirs byte for byte.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -77,7 +80,6 @@ import json
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import accumulate, chain
 from types import MappingProxyType
@@ -197,25 +199,12 @@ class SparseMatrixR:
         rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), np.float64, {})
         return Entries((self.rows, self.cols), rows, cols, vals)
 
-    def _formatted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and str(entry) arrays in (row, col) order.
-
-        One argsort of the position keys orders the entries; str runs once
-        per distinct Element object, so shared entries are formatted once.
-        """
-        keys, texts = _keyed(self, str, object)
-        order = np.argsort(keys)
-        return (*np.divmod(keys[order], self.cols), texts[order])
-
     def to_json_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [list(t) for t in zip(*(a.tolist() for a in self._formatted()))],
-        }
+        return {"rows": self.rows, "cols": self.cols,
+                "entries": [[r, c, str(e)] for (r, c), e in self.items_sorted()]}
 
     def to_text_lines(self) -> list[str]:
-        return [f"{r} {c} {t}" for r, c, t in zip(*(a.tolist() for a in self._formatted()))]
+        return [f"{r} {c} {e}" for (r, c), e in self.items_sorted()]
 
     def copy(self) -> "SparseMatrixR":
         out = SparseMatrixR(self.ring, self.rows, self.cols)
@@ -395,9 +384,9 @@ class _ProductRun:
         Entries get value ids, the right factor's entries are bucketed by
         row, and each contribution (row, col, left value, right value)
         adds the terms of its value pair's product to its position's
-        {monomial: coeff} sums.  The coefficients stay exact ints and
-        Fractions, and the sums need no second normal form: normal form
-        is linear on standard monomials.
+        {monomial: coeff} sums.  The products hold standard monomials
+        only, so `ring.element` of a nonzero sum just drops its zero
+        coefficients and turns whole Fractions into ints.
         """
         sums: dict[tuple[int, int], dict] = {}
         for lhs, rhs in terms:
@@ -412,13 +401,8 @@ class _ProductRun:
                     for mono, coeff in self.expansion(left, right):
                         acc[mono] = acc.get(mono, 0) + coeff
         ring = terms[0][0].ring
-        out = {}
-        for pos, acc in sums.items():
-            kept = {mono: int(total) if isinstance(total, Fraction) and total.denominator == 1
-                    else total for mono, total in acc.items() if total}
-            if kept:
-                out[pos] = Element(ring, kept)
-        return _leaf(ring, n_rows, n_cols, out)
+        return _leaf(ring, n_rows, n_cols,
+                     {pos: ring.element(acc) for pos, acc in sums.items() if any(acc.values())})
 
     def expansion(self, i: int, j: int) -> tuple:
         """The (monomial, coeff) terms of values[i] * values[j], multiplied once."""
@@ -455,7 +439,7 @@ def _entry_writer(pieces: tuple, text):
         return len(texts) - 1
 
     def write(fh, step: SparseMatrixR) -> int:
-        keys, ids = _keyed(step, code, np.intp, cached, codes)
+        keys, ids = _keyed(step, code, cached, codes)
         order = np.argsort(keys)
         pieces = np.array(texts, dtype=object)
         for lo in range(0, order.size, _WRITE_CHUNK):
@@ -483,9 +467,8 @@ def _entry_writer(pieces: tuple, text):
     return write
 
 
-def _keyed(mat: SparseMatrixR, fn, dtype, cached: dict | None = None,
-           images: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The position key row * mat.cols + col and fn(entry) of each entry of mat, unordered.
+def _keyed(mat: SparseMatrixR, fn, cached: dict, images: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Position keys row * mat.cols + col and intp codes fn(entry) of mat's entries, unordered.
 
     mat's own grids are walked, not concatenated: each cached node and
     fresh leaf below them gives its arrays (`_arrays`, with the memos
@@ -494,7 +477,7 @@ def _keyed(mat: SparseMatrixR, fn, dtype, cached: dict | None = None,
     if mat.rows * mat.cols > np.iinfo(np.intp).max:
         raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
     memo: dict = {}
-    parts = [(_arrays(node, fn, dtype, memo, cached, images), r0 * mat.cols + c0)
+    parts = [(_arrays(node, fn, np.intp, memo, cached, images), r0 * mat.cols + c0)
              for node, r0, c0 in _cached_parts(mat, 0, 0)]
     keys = np.empty(sum(vals.size for (_, _, vals), _ in parts), np.intp)
     at = 0
@@ -503,7 +486,7 @@ def _keyed(mat: SparseMatrixR, fn, dtype, cached: dict | None = None,
         np.multiply(rows, mat.cols, out=out)
         out += cols + shift
         at += vals.size
-    return keys, np.concatenate([vals for (_, _, vals), _ in parts] or [np.empty(0, dtype)])
+    return keys, np.concatenate([vals for (_, _, vals), _ in parts] or [np.empty(0, np.intp)])
 
 
 def _cached_parts(mat: SparseMatrixR, r0: int, c0: int):

@@ -48,6 +48,8 @@ class RationalForm:
             raise ValueError("denominator must have a unit constant term")
 
     def series(self, order: int) -> "IntSeries":
+        if order < 0:
+            raise ValueError("order must be non-negative")
         return IntSeries(tuple(_series_divide(self.num, self.den, order)), order)
 
 
@@ -175,8 +177,6 @@ def hilbert_coefficients(spec: ScrollSpec, order: int) -> IntSeries:
 
 def poincare_coeffs(spec: ScrollSpec, order: int) -> IntSeries:
     """(1+t)**(k+1) / (1 - (n-k-1) t) by exact truncated series division."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
     k, n = spec.k, spec.n
     return RationalForm(tuple(_binomial_power(1, k + 1)),
                         (1, -(n - k - 1))).series(order)

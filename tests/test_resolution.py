@@ -492,8 +492,7 @@ def test_streamed_output_empty_step_and_fraction(monkeypatch):
 def test_positions_beyond_intp_are_refused():
     ring = ring_for(S33)
     huge = SparseMatrixR(ring, 2**32, 2**32, [((2**32 - 1, 0), ring.one())])
-    with pytest.raises(OverflowError):
-        huge.to_json_obj()
+    assert huge.to_json_obj()["entries"] == [[2**32 - 1, 0, "1"]]
     with pytest.raises(OverflowError):
         streamed(Resolution(S33, "field", [huge], [2**32, 2**32]), "text")
 
@@ -548,15 +547,6 @@ def test_cached_constructors_mark_their_nodes():
     assert steps[4].blocks[0, 1] is alpha(S45, 3)
     assert not steps[4].blocks[0, 0].cached and not steps[4].blocks[1, 1].cached
     assert not phi(S45, 1).copy().cached and not (-phi(S45, 1)).cached
-
-
-def test_formatted_entries_are_in_position_order():
-    res = inject_fault(field_resolution(S43, 4), "unit_insert")
-    for step in res.steps:
-        rows, cols, texts = step._formatted()
-        items = sorted(step.entries.items())
-        assert list(zip(rows.tolist(), cols.tolist())) == [pos for pos, _ in items]
-        assert texts.tolist() == [str(e) for _, e in items]
 
 
 def test_eval_modp_one_value_per_entry():

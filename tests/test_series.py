@@ -151,6 +151,14 @@ def test_rational_form_validation():
         IntSeries((1, 2), 3)
 
 
+def test_negative_order_is_refused_on_every_path():
+    for expand in (lambda: hilbert_coefficients(S33, -1),
+                   lambda: poincare_coeffs(S33, -1),
+                   lambda: RationalForm((1,), (1, -1)).series(-1)):
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            expand()
+
+
 def test_poincare_3_3_and_2_2():
     assert poincare_coeffs(S33, 6).coefficients == (1, 6, 21, 64, 192, 576, 1728)
     assert poincare_coeffs(S22, 4).coefficients == (1, 4, 7, 8, 8)
