@@ -235,12 +235,20 @@ def check_phi_ranks(
     return out
 
 
+# the most variables `groebner_consistency` enumerates standard monomials in
+GROEBNER_MAX_N = 9
+
+
+def require_groebner_size(spec: ScrollSpec) -> None:
+    if spec.n > GROEBNER_MAX_N:
+        raise ValueError(f"enumeration guard: n <= {GROEBNER_MAX_N}")
+
+
 def groebner_consistency(spec: ScrollSpec, dmax: int) -> CheckReport:
     """Standard monomials: unique per multidegree, counted by the series."""
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
-    if spec.n > 9:
-        raise ValueError("enumeration guard: n <= 9")
+    require_groebner_size(spec)
     ring = ring_for(spec)
     coeffs = hilbert_coefficients(spec, dmax)
     counts = {}

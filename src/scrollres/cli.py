@@ -153,6 +153,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--modulus must be a prime p with 2 < p < 2**26, got {args.modulus}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if "groebner" in wanted:
+        checks.require_groebner_size(args.scroll)
     if "exact" in wanted and args.steps < 2:
         raise ValueError("--checks exact needs --steps of at least 2: exactness "
                          f"at step i uses steps i and i+1, got {args.steps}")

@@ -30,6 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_MODULUS = 2**26
+# the most cells a dense block may have: under a 3 GiB address-space cap,
+# phi2's 1406 x 52022 block on blocks (20,20) (73.1 M cells) reduces at
+# 2.0 GB peak RSS, and a 16-row block of 75 M cells whose first pivot
+# fills every row reduces too; phi2's 1722 x 70602 on (22,22) runs out
+MAX_BLOCK_CELLS = 75 * 10**6
 
 
 def is_prime(q: int) -> bool:
@@ -157,12 +162,16 @@ def _reduced(a: Entries, p: int, reduce):
 
     A component whose shape and local entries equal, byte for byte, those
     of one already seen in this call reuses its result; only a new one
-    gets a dense block.
+    gets a dense block.  A block of more than MAX_BLOCK_CELLS cells is
+    refused before it is allocated.
     """
     seen = {}
     for cs, ri, ci, vals, shape in _blocks(a, p):
         key = (shape, ri.tobytes(), ci.tobytes(), vals.tobytes())
         if key not in seen:
+            if shape[0] * shape[1] > MAX_BLOCK_CELLS:
+                raise ValueError(f"resource guard: a {shape[0]}x{shape[1]} F_p block "
+                                 f"has more than the supported {MAX_BLOCK_CELLS} cells")
             block = np.zeros(shape)
             np.add.at(block, (ri, ci), vals)
             seen[key] = reduce(block)

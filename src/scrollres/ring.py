@@ -2,11 +2,16 @@
 
 The ring is the polynomial ring modulo the 2x2 minors of the scroll
 matrix.  Those minors form a Groebner basis for the pure lex order with
-x_1 > x_2 > ... > x_n, and every monomial rewrites to a single standard
-monomial: replacing a divisor equal to a main-diagonal product by the
-matching antidiagonal product strictly decreases the lex order and
-preserves the multigrading, so normal forms of polynomials are just
-termwise rewrites followed by coefficient collection.
+x_1 > x_2 > ... > x_n.  The ideal they generate is toric, so two
+monomials are equal in the ring exactly when they have the same
+multidegree (the grading matrix applied to the exponents), and each
+multidegree holds exactly one standard monomial.  `nf_monomial` reads
+that monomial off the multidegree, and the normal form of a polynomial
+is its termwise normal form with coefficients collected.  Which
+monomials are standard is still decided by the minors' lead terms, so
+the `groebner` check tests the basis itself, and
+`nf_monomial_randomized` rewrites with the minors as an independent
+reference for `nf_monomial`.
 
 Coefficients are exact Python ints or Fractions.  F_p is reached only
 through `Element.eval_modp`, which evaluates an element at a point.
@@ -31,20 +36,23 @@ def mono_degree(a: Monomial) -> int:
 
 
 class ScrollRing:
-    """Normal-form engine and element factory for one scroll."""
+    """Normal forms, standard monomials and elements of one scroll's ring.
+
+    Normal forms come from multidegrees; the minors' lead terms decide
+    which monomials are standard, and the minors as rewrite rules give
+    the reference normal form of `nf_monomial_randomized`.
+    """
 
     def __init__(self, spec: ScrollSpec):
         self.spec = spec
         self.n = spec.n
-        # reducers: (support mask, lead pair (a,b), replacement adds)
+        # reducers: (lead pair a, b, replacement adds), one per minor
         self._reducers = []
         for g in minor_generators(spec):
             a, b = (i for i, e in enumerate(g.plus) if e)
             adds = tuple((i, e) for i, e in enumerate(g.minus) if e)
-            mask = (1 << a) | (1 << b)
-            self._reducers.append((mask, a, b, adds))
-        self._gen_pairs = frozenset((r[1], r[2]) for r in self._reducers)
-        self._nf_cache: dict[Monomial, Monomial] = {}
+            self._reducers.append((a, b, adds))
+        self._gen_pairs = frozenset((a, b) for a, b, _ in self._reducers)
         self._acols = tuple(
             tuple(row[i] for row in toric_matrix(spec)) for i in range(self.n)
         )
@@ -59,56 +67,44 @@ class ScrollRing:
                 return False
         return True
 
-    def _find_reducer(self, mask: int):
-        for gmask, a, b, adds in self._reducers:
-            if gmask & mask == gmask:
-                return a, b, adds
-        return None
-
     def nf_monomial(self, mono: Monomial) -> Monomial:
-        """The unique standard monomial equal to `mono` in the ring."""
-        out = self._nf_cache.get(mono)
-        if out is not None:
-            return out
-        cur = mono
-        trail = []
-        while True:
-            mask = 0
-            for i, e in enumerate(cur):
-                if e:
-                    mask |= 1 << i
-            red = self._find_reducer(mask)
-            if red is None:
-                break
-            trail.append(cur)
-            a, b, adds = red
-            e = list(cur)
-            e[a] -= 1
-            e[b] -= 1
-            for i, x in adds:
-                e[i] += x
-            cur = tuple(e)
-            cached = self._nf_cache.get(cur)
-            if cached is not None:
-                cur = cached
-                break
-        for t in trail:
-            self._nf_cache[t] = cur
-        self._nf_cache[mono] = cur
-        return cur
+        """The unique standard monomial equal to `mono` in the ring.
+
+        It is read off the multidegree (d_1, ..., d_k, w).  Blocks are
+        filled left to right, each taking as much of the weight w still
+        to place as it can: all of it on its last variable while the
+        remaining weight allows, then one block split over two adjacent
+        variables, then the rest on their first variable.  That support
+        lies in a facet of `series.delta_facets`, so it is standard.
+        """
+        *degs, w = self.adegree(mono)
+        out = [0] * self.n
+        start = 0
+        for m, d in zip(self.spec.blocks, degs):
+            if d:
+                spent = min(w, d * (m - 1))
+                q, b = divmod(spent, d)
+                out[start + q] = d - b
+                if b:
+                    out[start + q + 1] = b
+                w -= spent
+            start += m
+        return tuple(out)
 
     def nf_monomial_randomized(self, mono: Monomial, rng) -> Monomial:
-        """Normal form picking a random applicable rewrite each step.
+        """Normal form by rewriting with the minors, in a random order.
 
-        Used by tests to confirm the rewriting system is confluent; the
-        cached deterministic engine is not consulted.
+        Each step replaces a lead term of a minor dividing the monomial
+        by the minor's other term, picked at random among those that
+        apply.  Tests use it as a reference independent of the
+        multidegree formula in `nf_monomial`.
         """
         cur = mono
         while True:
-            applicable = [r for r in self._reducers if cur[r[1]] and cur[r[2]]]
+            applicable = [r for r in self._reducers if cur[r[0]] and cur[r[1]]]
             if not applicable:
                 return cur
-            _, a, b, adds = applicable[rng.randrange(len(applicable))]
+            a, b, adds = applicable[rng.randrange(len(applicable))]
             e = list(cur)
             e[a] -= 1
             e[b] -= 1

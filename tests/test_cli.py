@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
+from scrollres.checks import GROEBNER_MAX_N
 from scrollres.cli import _printable_betti, main
+from scrollres.linalg import MAX_BLOCK_CELLS
 from scrollres.resolution import field_resolution
 from scrollres.scrolls import build_scroll
 from scrollres.series import betti
@@ -394,6 +397,34 @@ def test_indices_above_the_bound_are_refused_at_once(capsys):
         assert captured.err == (f"error: resource guard: {index} {argv[-1]} requested, "
                                 f"above the supported {MAX_INDEX}\n"), argv
     assert MAX_INDEX == 10**6
+
+
+def run_capped(argv):
+    """Exit code, stdout, stderr and wall time of a cold CLI run under a 3 GiB address-space cap."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "scrollres.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--scroll", "30,30", "--steps", "3", "--checks", "exact"],
+     f"resource guard: a 3423x195112 F_p block has more than the supported {MAX_BLOCK_CELLS} cells"),
+    (["--scroll", "24,24", "--steps", "2", "--checks", "ranks"],
+     f"resource guard: a 2070x93150 F_p block has more than the supported {MAX_BLOCK_CELLS} cells"),
+    (["--scroll", "24,24", "--steps", "2", "--checks", "minors,groebner"],
+     f"enumeration guard: n <= {GROEBNER_MAX_N}"),
+], ids=["exact", "ranks", "groebner"])
+def test_guards_refuse_before_the_work(tmp_path, argv, error):
+    """The dense F_p block bound, and groebner's bound before the minors run."""
+    path = tmp_path / "F"
+    rc, out, err, seconds = run_capped(["verify", *argv, "--out", str(path)])
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+    assert seconds < 3
+    assert not path.exists()
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
