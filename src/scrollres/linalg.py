@@ -5,23 +5,31 @@ lists whose values add up at a repeated coordinate, is the one matrix
 format they take and the one `nullspace_modp` returns.  The matrices
 this package builds are sparse and block-diagonal up to a permutation,
 so both split the entries into the connected components of the
-row-column graph, build a dense block for each component only, and
-reduce it with `rref_modp`, the one elimination loop.  No array of the
-whole matrix or of the whole kernel basis is allocated.
+row-column graph and reduce each component with `_eliminate`, the one
+elimination loop.  No array of the whole matrix or of the whole kernel
+basis is allocated, and no dense array of a component either.
+
+`_eliminate` works on the component's entries: each row is a dict of
+Python-int residues, columns are taken in increasing order, and the
+pivot of a column is the shortest live row that holds it.  The blocks
+the CLI builds are sparse and stay sparse under elimination, so work
+and memory follow the entries and their fill-in, not the cells; a dense
+block costs more than it would as a float64 array.  `rank_modp` stops at the
+echelon form; `nullspace_modp` goes on to the reduced row echelon form,
+which is unique, so its kernel basis does not depend on the pivot order.
 
 The same few blocks repeat many times along the diagonal, so within one
-call each distinct component is built and reduced once.  Components are
-compared by their local entries (shape, row and column indices, values,
-all as exact bytes): equal entries give an equal block, and a repeat
-whose entries come in another order is merely reduced again.  Nothing
-is kept between calls.
+call each distinct component is reduced once.  Components are compared
+by their local entries (shape, row and column indices, values, all as
+exact bytes): equal entries give an equal result, and a repeat whose
+entries come in another order is merely reduced again.  The memo keeps
+only what the caller uses, a rank or a kernel's local entries, and
+nothing is kept between calls.
 
-Blocks are float64 arrays holding exact integers.  Reduction keeps
-signed residues in [-p/2, p/2]; scaling a pivot row by an inverse in
-[1, p) stays below p**2 / 2, and an elimination update adds at most
-p**2 / 4 to a residue.  So every intermediate stays below p**2 / 2
-whatever the matrix size, which is exact in float64 (and in
-`reduce_mod`) for p < MAX_MODULUS = 2**26.  Larger moduli are refused.
+Python ints make the elimination exact for any modulus.  Moduli of
+MAX_MODULUS = 2**26 or more are still refused: `Entries` hold float64
+values, and 2**26 is the documented and tested range of every entry
+point, the CLI's `--modulus` included.
 """
 from __future__ import annotations
 
@@ -30,11 +38,19 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_MODULUS = 2**26
-# the most cells a dense block may have: under a 3 GiB address-space cap,
-# phi2's 1406 x 52022 block on blocks (20,20) (73.1 M cells) reduces at
-# 2.0 GB peak RSS, and a 16-row block of 75 M cells whose first pivot
-# fills every row reduces too; phi2's 1722 x 70602 on (22,22) runs out
+# the most cells a component may span, refused before it is reduced.  Set
+# for the dense blocks this module once allocated (phi2's 1406 x 52022 on
+# blocks (20,20), 73.1 M cells, then reduced at 2.0 GB under a 3 GiB
+# address-space cap), and kept so that the CLI refuses the same inputs
 MAX_BLOCK_CELLS = 75 * 10**6
+# the most entries one elimination may hold at once, input and fill-in,
+# each a dict slot and a Python int.  Under a 3 GiB address-space cap, a
+# 7-row component whose first pivot fills every other row (peak 7,999,993
+# entries; `fill_component(7, 615384)` in tests/test_linalg.py) reduces
+# at 1.9 GB peak RSS for a rank and 2.1 GB for a kernel, and 4 M rows of
+# two entries over 10 columns (8 M entries) at 2.4 GB; at a 10 M peak the
+# kernel reached 2.75 GB
+MAX_HELD_ENTRIES = 8 * 10**6
 
 
 def is_prime(q: int) -> bool:
@@ -63,55 +79,6 @@ def require_exact_modulus(p: int) -> None:
         )
 
 
-def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """In-place signed residue of a mod p, exact, for float64 integer arrays.
-
-    Rounds a/p to the nearest integer k and subtracts k*p, leaving values
-    in [-p/2, p/2].  For odd p and |a| < 2**52 this is exact: a/p is never
-    within float error of a half-integer (that would need 2*(a mod p) = p),
-    and both k*p and the subtraction are exact in float64.  Mask- and
-    branch-free, so it is fast on small slices too (~30x faster than '%').
-    """
-    q = np.multiply(a, 1.0 / p, dtype=np.float64)
-    np.rint(q, out=q)
-    q *= p
-    a -= q
-    return a
-
-
-def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (R, pivot_columns)."""
-    A = np.array(a, dtype=np.float64)
-    m, n = A.shape
-    reduce_mod(A, p)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        # rows r.. vanish left of c, so the pivot row does and only
-        # columns c.. change
-        row = A[r, c:] * pow(int(A[r, c]), p - 2, p)
-        reduce_mod(row, p)
-        A[r, c:] = row
-        col = A[:, c].copy()
-        col[r] = 0.0
-        nzr = np.flatnonzero(col)
-        if nzr.size:
-            sub = A[nzr, c:]  # fancy indexing copies; write back explicitly
-            sub -= np.outer(col[nzr], row)
-            reduce_mod(sub, p)
-            A[nzr, c:] = sub
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
 class Entries(NamedTuple):
     """A sparse matrix as coordinate lists; values at a repeated
     coordinate add up."""
@@ -131,8 +98,10 @@ def _blocks(a: Entries, p: int):
     rows and its columns `cs`, both ascending; its entries sit at local
     rows `ri` and local columns `ci`.  Rows and columns without entries
     belong to no component.  An entry that is 0 mod p only merges two
-    components, which is still sound.  Moduli outside [2, MAX_MODULUS)
-    are refused here, for both entry points.
+    components, which is still sound.  The local indices of all
+    components come from one pass over the rows and one over the
+    columns (`_local`).  Moduli outside [2, MAX_MODULUS) are refused
+    here, for both entry points.
     """
     require_exact_modulus(p)
     m = a.shape[0]
@@ -150,38 +119,166 @@ def _blocks(a: Entries, p: int):
             if np.array_equal(jumped, label):
                 break
             label = jumped
+    local_row, nr, _ = _local(label[:m], a.rows)
+    local_col, nc, cs = _local(label[m:], a.cols)
     order = np.argsort(lu, kind="stable")
-    for e in np.split(order, np.flatnonzero(np.diff(lu[order])) + 1):
-        rs, ri = np.unique(a.rows[e], return_inverse=True)
-        cs, ci = np.unique(a.cols[e], return_inverse=True)
-        yield cs, ri, ci, a.vals[e], (rs.size, cs.size)
+    for k, e in enumerate(np.split(order, np.flatnonzero(np.diff(lu[order])) + 1)):
+        yield cs[k], local_row[a.rows[e]], local_col[a.cols[e]], a.vals[e], (nr[k], nc[k])
 
 
-def _reduced(a: Entries, p: int, reduce):
-    """(cs, reduce(block)) for each connected component.
+def _local(label, index):
+    """np.unique(index[e], return_inverse=True) for the entries e of every
+    component at once.
+
+    `label` holds the component of each row (or column), and `index` the
+    row (or column) of each entry.  Returns, per row, its rank among the
+    rows with entries in its component, and, per component in increasing
+    label, how many such rows it has and which, ascending.
+    """
+    used = np.zeros(label.size, dtype=bool)
+    used[index] = True
+    nodes = np.flatnonzero(used)
+    lab = label[nodes]
+    o = np.argsort(lab, kind="stable")
+    nodes = nodes[o]
+    first = np.concatenate(([0], np.flatnonzero(np.diff(lab[o])) + 1))
+    counts = np.diff(np.append(first, nodes.size))
+    local = np.empty(label.size, dtype=np.intp)
+    local[nodes] = np.arange(nodes.size) - np.repeat(first, counts)
+    return local, counts.tolist(), np.split(nodes, first[1:])
+
+
+def _check_fill(held: int, shape) -> None:
+    if held > MAX_HELD_ENTRIES:
+        raise ValueError(f"resource guard: eliminating a {shape[0]}x{shape[1]} F_p block "
+                         f"holds more than the supported {MAX_HELD_ENTRIES} entries")
+
+
+def _eliminate(shape, ri, ci, vals, p: int, jordan: bool):
+    """Sparse elimination of one component over F_p.
+
+    The block of `shape` has entries `vals` at local rows `ri` and columns
+    `ci`.  Each row is a dict {column: residue} of Python ints: entries at
+    one coordinate are added up mod p and zeros dropped.  Columns are taken
+    in increasing order; the pivot of a column is the shortest live row
+    that holds it, and it clears that column in the other live rows, with
+    no back-substitution.  Rank-only, the result is the number of pivots.
+
+    With `jordan`, each pivot row is scaled to 1 at its pivot, and then,
+    from the last pivot to the first, cleared at every later pivot column
+    by the rows already reduced.  That is the unique reduced row echelon
+    form R, and the result is (pivots, rows, cols, vals): the pivot
+    columns, ascending, and minus R mod p at each pivot row's free
+    columns, as (pivot column, free column, value in [1, p)), all local.
+
+    Holding more than MAX_HELD_ENTRIES entries at once is refused.
+    """
+    m, n = shape
+    rows = [{} for _ in range(m)]
+    # holders[c] lists the rows that have held column c; a row may be
+    # listed under c twice, after it lost c to cancellation and regained it
+    holders = [[] for _ in range(n)]
+    for r, c, v in zip(ri.tolist(), ci.tolist(), np.mod(vals, p).astype(np.int64).tolist()):
+        row = rows[r]
+        if c in row:
+            row[c] = (row[c] + v) % p
+        else:
+            row[c] = v
+            holders[c].append(r)
+    for r, row in enumerate(rows):
+        if 0 in row.values():
+            rows[r] = {c: v for c, v in row.items() if v}
+    held = sum(map(len, rows))
+    done: dict = {}  # a row that became a pivot holds no column any more
+    pivots = {}  # pivot column -> its row scaled to 1 there (Gauss-Jordan)
+    rank = 0
+    for j in range(n):
+        hs = [r for r in holders[j] if j in rows[r]]
+        holders[j] = None
+        if not hs:
+            continue
+        piv = min(hs, key=lambda r: len(rows[r]))
+        prow = rows[piv]
+        rows[piv] = done
+        rank += 1
+        inv = pow(prow[j], -1, p)
+        tail = [(c, (p - v) * inv % p) for c, v in prow.items() if c != j]
+        for r in hs:
+            row = rows[r]
+            if j not in row:  # the pivot row, or a row listed twice
+                continue
+            f = row.pop(j)
+            k = len(row)
+            for c, v in tail:
+                x = row.get(c)
+                if x is None:
+                    row[c] = f * v % p
+                    holders[c].append(r)
+                else:
+                    x = (x + f * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+            held += len(row) - k - 1
+            _check_fill(held, shape)
+        if jordan:
+            pivots[j] = {c: v * inv % p for c, v in prow.items()}
+        else:
+            held -= len(prow)
+    if not jordan:
+        return rank
+    for j in sorted(pivots, reverse=True):
+        row = pivots[j]
+        k = len(row)
+        for c in [c for c in row if c != j and c in pivots]:
+            f = row.pop(c)
+            for c2, v in pivots[c].items():
+                if c2 != c:
+                    x = (row.get(c2, 0) - f * v) % p
+                    if x:
+                        row[c2] = x
+                    else:
+                        del row[c2]
+        held += len(row) - k
+        _check_fill(held, shape)
+    pc = sorted(pivots)
+    counts, fc, fv = [], [], []
+    for j in pc:
+        row = pivots.pop(j)
+        del row[j]
+        counts.append(len(row))
+        fc += row
+        fv += row.values()
+    pc = np.array(pc, dtype=np.intp)
+    return (pc, np.repeat(pc, counts), np.array(fc, dtype=np.intp),
+            p - np.array(fv, dtype=np.float64))
+
+
+def _reduced(a: Entries, p: int, jordan: bool):
+    """(cs, _eliminate(...)) for each connected component.
 
     A component whose shape and local entries equal, byte for byte, those
-    of one already seen in this call reuses its result; only a new one
-    gets a dense block.  A block of more than MAX_BLOCK_CELLS cells is
-    refused before it is allocated.
+    of one already seen in this call reuses its result, which is all the
+    memo keeps: a rank, or a kernel's local entries.  A component of more
+    than MAX_BLOCK_CELLS cells, or of more than MAX_HELD_ENTRIES entries,
+    is refused before its key is copied out of it.
     """
     seen = {}
     for cs, ri, ci, vals, shape in _blocks(a, p):
+        if shape[0] * shape[1] > MAX_BLOCK_CELLS:
+            raise ValueError(f"resource guard: a {shape[0]}x{shape[1]} F_p block "
+                             f"has more than the supported {MAX_BLOCK_CELLS} cells")
+        _check_fill(ri.size, shape)
         key = (shape, ri.tobytes(), ci.tobytes(), vals.tobytes())
         if key not in seen:
-            if shape[0] * shape[1] > MAX_BLOCK_CELLS:
-                raise ValueError(f"resource guard: a {shape[0]}x{shape[1]} F_p block "
-                                 f"has more than the supported {MAX_BLOCK_CELLS} cells")
-            block = np.zeros(shape)
-            np.add.at(block, (ri, ci), vals)
-            seen[key] = reduce(block)
+            seen[key] = _eliminate(shape, ri, ci, vals, p, jordan)
         yield cs, seen[key]
 
 
 def rank_modp(a: Entries, p: int) -> int:
     """Rank over F_p: the sum of the ranks of the connected components."""
-    return sum(len(pivots) for _, pivots in
-               _reduced(a, p, lambda b: rref_modp(b, p)[1]))
+    return sum(rank for _, rank in _reduced(a, p, False))
 
 
 def nullspace_modp(a: Entries, p: int) -> Entries:
@@ -195,12 +292,9 @@ def nullspace_modp(a: Entries, p: int) -> Entries:
     n = a.shape[1]
     free = np.ones(n, dtype=bool)
     parts = []  # (rows, free columns, values) of each component's entries
-    for cs, (R, pivots) in _reduced(a, p, lambda b: rref_modp(b, p)):
+    for cs, (pivots, r, c, v) in _reduced(a, p, True):
         free[cs[pivots]] = False
-        f = np.flatnonzero(free[cs])
-        block = np.mod(-R[:len(pivots), f], p)
-        r, c = np.nonzero(block)
-        parts.append((cs[pivots][r], cs[f][c], block[r, c]))
+        parts.append((cs[r], cs[c], v))
     fc = np.flatnonzero(free)
     rows, cols, vals = (np.concatenate(x) for x in zip((fc, fc, np.ones(fc.size)), *parts))
     order = np.lexsort((cols, rows))

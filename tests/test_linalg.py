@@ -6,7 +6,7 @@ import pytest
 from scrollres import linalg
 from scrollres.checks import scroll_point
 from scrollres.linalg import (MAX_MODULUS, Entries, _blocks, is_prime,
-                              nullspace_modp, rank_modp, reduce_mod, rref_modp)
+                              nullspace_modp, rank_modp)
 from scrollres.resolution import field_resolution
 from scrollres.scrolls import build_scroll
 
@@ -25,9 +25,12 @@ def dense(a):
     return out
 
 
-def reference_rank(rows, p):
+def reference_rref(rows, p):
+    """Reduced row echelon form over F_p of a list of integer rows, by
+    plain Gauss-Jordan on Python ints; returns (R, pivot columns)."""
     a = [[int(x) % p for x in row] for row in rows]
     m, n = len(a), len(a[0]) if len(rows) else 0
+    pivots = []
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if a[i][c]), None)
@@ -40,22 +43,18 @@ def reference_rank(rows, p):
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return a, pivots
+
+
+def reference_rank(rows, p):
+    return len(reference_rref(rows, p)[1])
 
 
 def test_is_prime():
     assert [q for q in range(2, 30) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(32003) and is_prime(65537) and not is_prime(32004)
-
-
-def test_reduce_mod_signed_exact():
-    p = 32003
-    a = np.array([0.0, 1.0, p, p - 1, 2 * p, 3.0 * p * p, 12345678901.0])
-    reduce_mod(a, p)
-    for orig, got in zip([0, 1, p, p - 1, 2 * p, 3 * p * p, 12345678901], a):
-        assert int(got) % p == orig % p
-        assert abs(got) <= p // 2 + 1
 
 
 def test_rank_random_matrices_match_reference():
@@ -144,24 +143,62 @@ def test_entry_equal_to_p_links_row_and_column():
     assert dense(nullspace_modp(a, p)).tolist() == [[0], [0], [1]]
 
 
+def reference_blocks(a):
+    """_blocks by a plain union-find and np.unique per component: the
+    entries of each component in their given order, components by their
+    smallest row."""
+    m = a.shape[0]
+    parent = list(range(m + a.shape[1]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for r, c in zip(a.rows.tolist(), a.cols.tolist()):
+        x, y = find(r), find(m + c)
+        parent[max(x, y)] = min(x, y)
+    members = {}
+    for i, r in enumerate(a.rows.tolist()):
+        members.setdefault(find(r), []).append(i)
+    for _, e in sorted(members.items()):
+        rs, ri = np.unique(a.rows[e], return_inverse=True)
+        cs, ci = np.unique(a.cols[e], return_inverse=True)
+        yield cs, ri, ci, a.vals[e], (rs.size, cs.size)
+
+
+def test_blocks_match_per_component_unique():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        mat = permuted_block_diagonal(rng, 101)
+        a = entries(mat)
+        order = rng.permutation(a.rows.size)
+        for a in (a, Entries(a.shape, a.rows[order], a.cols[order], a.vals[order])):
+            got = [b for b in _blocks(a, 101) if b[1].size]
+            want = list(reference_blocks(a))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g[4] == w[4]
+                for x, y in zip(g[:4], w[:4]):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def reference_nullspace(mat, p):
     """The kernel basis from one rref of the whole dense matrix: for each
     free column c, 1 at c and minus column c of R at the pivots."""
-    R, pivots = rref_modp(mat, p)
+    R, pivots = reference_rref(np.asarray(mat).tolist(), p)
     n = mat.shape[1]
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((n, len(free)), dtype=np.int64)
     for j, c in enumerate(free):
         basis[c, j] = 1
         for i, pc in enumerate(pivots):
-            basis[pc, j] = int(-R[i, c]) % p
+            basis[pc, j] = -R[i][c] % p
     return basis
 
 
 def assert_matches_dense_reference(a, p):
-    mat = np.zeros(a.shape)
-    np.add.at(mat, (a.rows, a.cols), a.vals)
-    assert rank_modp(a, p) == len(rref_modp(mat, p)[1])
+    mat = dense(a)
+    assert rank_modp(a, p) == reference_rank(mat.tolist(), p)
     assert np.array_equal(dense(nullspace_modp(a, p)), reference_nullspace(mat, p))
 
 
@@ -205,12 +242,12 @@ def diagonal(components, extra=(0, 0), order=None):
 
 def count_rref_calls(monkeypatch):
     calls = []
-    real = linalg.rref_modp
+    real = linalg._eliminate
 
-    def counting(block, p):
-        calls.append(block.shape)
-        return real(block, p)
-    monkeypatch.setattr(linalg, "rref_modp", counting)
+    def counting(shape, *args):
+        calls.append(shape)
+        return real(shape, *args)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     return calls
 
 
@@ -264,6 +301,77 @@ def test_near_duplicate_components_are_kept_apart():
     assert rank_modp(diagonal([base, near[0]]), p) == 3
     assert rank_modp(diagonal([base, near[1]]), p) == 3
     assert rank_modp(diagonal([base, near[2]]), p) == 2
+
+
+def test_row_that_cancels_and_regains_a_column():
+    # row 2 loses column 2 to row 0, the pivot of column 0, and regains it
+    # from row 1, the pivot of column 1, so it is listed under column 2
+    # twice; row 3, the shortest, is column 2's pivot and clears row 2 once
+    mat = np.array([[1, 0, 1, 0, 1],
+                    [0, 1, 1, 0, 0],
+                    [1, 1, 1, 1, 0],
+                    [0, 0, 1, 0, 0]])
+    for p in (3, 101):
+        assert_matches_dense_reference(entries(mat), p)
+
+
+def test_random_sparse_entries_match_reference():
+    """Sparse entries in random order, with repeated coordinates and
+    values that are 0 mod p, for the rank and the kernel."""
+    rng = np.random.default_rng(23)
+    for p in (3, 101, 32003, 67108859):
+        for _ in range(40):
+            m, n = (int(x) for x in rng.integers(1, 16, size=2))
+            k = int(rng.integers(0, m * n + 1))
+            vals = rng.integers(-2 * p, 2 * p, size=k)
+            zero = rng.random(k) < 0.2
+            vals[zero] = p * rng.integers(-2, 3, size=int(zero.sum()))
+            a = Entries((m, n), rng.integers(0, m, size=k), rng.integers(0, n, size=k),
+                        vals.astype(np.float64))
+            assert_matches_dense_reference(a, p)
+
+
+def fill_component(k, w):
+    """k rows of ones, each at column 0 and at w columns of its own.  Row 0
+    is column 0's pivot and gives the other rows its w columns: the
+    elimination holds k*(w+1) + (k-1)*(w-1) entries once it has cleared
+    the last of them, the most it holds at any time."""
+    rows = np.repeat(np.arange(k), w + 1)
+    cols = np.concatenate([np.concatenate(([0], 1 + i * w + np.arange(w)))
+                           for i in range(k)])
+    return Entries((k, 1 + k * w), rows, cols, np.ones(rows.size)), k * (w + 1) + (k - 1) * (w - 1)
+
+
+def test_fill_guard_bounds_the_entries_held(monkeypatch):
+    a, peak = fill_component(7, 5)
+    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", peak)
+    assert_matches_dense_reference(a, 101)
+    # one entry less, or fewer entries than the input holds, is refused
+    for bound in (peak - 1, a.rows.size - 1):
+        monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", bound)
+        for f in (rank_modp, nullspace_modp):
+            with pytest.raises(ValueError) as err:
+                f(a, 101)
+            assert str(err.value) == ("resource guard: eliminating a 7x36 F_p block "
+                                      f"holds more than the supported {bound} entries")
+
+
+def test_bounds_hold_per_component_not_in_sum(monkeypatch):
+    # a 10x10 staircase: 100 cells, 19 entries, no fill-in
+    stair = ([r for r in range(10) for _ in (0, 1)][:19],
+             [c for r in range(10) for c in (r, r + 1)][:19], [1] * 19, (10, 10))
+    monkeypatch.setattr(linalg, "MAX_BLOCK_CELLS", 100)
+    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", 19)
+    assert_matches_dense_reference(diagonal([stair] * 5), 101)
+    wide = (stair[0] + [9], stair[1] + [10], [1] * 20, (10, 11))
+    longer = (stair[0] + [9], stair[1] + [0], [1] * 20, (10, 10))
+    for comps, error in (([stair, wide], "a 10x11 F_p block has more than the supported 100 cells"),
+                         ([stair, longer], "eliminating a 10x10 F_p block holds more than the "
+                                           "supported 19 entries")):
+        for f in (rank_modp, nullspace_modp):
+            with pytest.raises(ValueError) as err:
+                f(diagonal(comps), 101)
+            assert str(err.value) == "resource guard: " + error
 
 
 def test_field_resolution_probe_reduces_each_distinct_component_once(monkeypatch):
@@ -357,9 +465,10 @@ def test_nullspace_zero_rows():
     assert np.array_equal(basis, np.eye(4, dtype=np.int64))
 
 
-def test_rref_pivots():
+def test_reference_rref_pivots():
     p = 101
-    mat = np.array([[2, 4, 1], [1, 2, 0], [0, 0, 3]])
-    red, pivots = rref_modp(mat, p)
+    mat = [[2, 4, 1], [1, 2, 0], [0, 0, 3]]
+    red, pivots = reference_rref(mat, p)
     assert pivots == [0, 2]
-    assert reference_rank(mat.tolist(), p) == 2
+    assert red == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    assert reference_rank(mat, p) == 2
