@@ -218,20 +218,21 @@ def check_phi_ranks(
     trials: int = 5,
     seed: int = 0,
 ) -> list[CheckReport]:
-    """Probe rank(phi_i) == (n-3)**i and rank(staircase_d) == d-1."""
+    """Probe rank(phi_i) == (n-3)**i and rank(staircase_d) == d-1.
+
+    Every matrix is built and passes `require_evaluable` before the
+    first probe.
+    """
     n = spec.n
+    mats = [(f"phi{i}", phi(spec, i), (n - 3) ** i, seed + i) for i in range(imax + 1)]
+    mats += [(f"staircase{d}", staircase(spec, d), d - 1, seed + 100 + d) for d in range(2, n)]
+    for _, mat, _, _ in mats:
+        mat.require_evaluable()
     out = []
-    for i in range(imax + 1):
-        claimed = (n - 3) ** i
-        rep = probe_rank(phi(spec, i), trials, modulus, seed + i,
-                         claimed=claimed, matrix_id=f"phi{i}")
-        out.append(CheckReport(f"rank:phi{i}", str(spec), rep.ok,
-                               rep.to_json_obj(), modulus, seed))
-    for d in range(2, n):
-        rep = probe_rank(staircase(spec, d), trials, modulus, seed + 100 + d,
-                         claimed=d - 1, matrix_id=f"staircase{d}")
-        out.append(CheckReport(f"rank:staircase{d}", str(spec), rep.ok,
-                               rep.to_json_obj(), modulus, seed))
+    for name, mat, claimed, probe_seed in mats:
+        rep = probe_rank(mat, trials, modulus, probe_seed, claimed=claimed, matrix_id=name)
+        out.append(CheckReport(f"rank:{name}", str(spec), rep.ok, rep.to_json_obj(),
+                               modulus, seed))
     return out
 
 

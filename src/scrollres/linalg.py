@@ -26,10 +26,15 @@ entries come in another order is merely reduced again.  The memo keeps
 only what the caller uses, a rank or a kernel's local entries, and
 nothing is kept between calls.
 
-Python ints make the elimination exact for any modulus.  Moduli of
-MAX_MODULUS = 2**26 or more are still refused: `Entries` hold float64
-values, and 2**26 is the documented and tested range of every entry
-point, the CLI's `--modulus` included.
+Python ints make the elimination exact for any modulus.  Every entry
+point, the CLI's `--modulus` included, supports 2 <= p < MAX_MODULUS =
+2**26 and refuses any other modulus; `Entries` carry the residues as
+float64 values, which hold that range exactly.
+
+The one resource bound is MAX_HELD_ENTRIES.  It refuses a component of
+more entries before it is reduced, an elimination whose fill-in takes
+it past the bound, and, through `require_held_entries`, a ring matrix
+of more entries before it is evaluated (`SparseMatrixR.eval_modp`).
 """
 from __future__ import annotations
 
@@ -38,13 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_MODULUS = 2**26
-# the most cells a component may span, refused before it is reduced.  Set
-# for the dense blocks this module once allocated (phi2's 1406 x 52022 on
-# blocks (20,20), 73.1 M cells, then reduced at 2.0 GB under a 3 GiB
-# address-space cap), and kept so that the CLI refuses the same inputs
-MAX_BLOCK_CELLS = 75 * 10**6
 # the most entries one elimination may hold at once, input and fill-in,
-# each a dict slot and a Python int.  Under a 3 GiB address-space cap, a
+# each a dict slot and a Python int, and the most a ring matrix may have
+# when it is evaluated mod p.  Under a 3 GiB address-space cap, a
 # 7-row component whose first pivot fills every other row (peak 7,999,993
 # entries; `fill_component(7, 615384)` in tests/test_linalg.py) reduces
 # at 1.9 GB peak RSS for a rank and 2.1 GB for a kernel, and 4 M rows of
@@ -74,8 +75,7 @@ def require_exact_modulus(p: int) -> None:
     """
     if not 2 <= p < MAX_MODULUS:
         raise ValueError(
-            f"modulus {p} is outside 2 <= p < 2**26, the range where "
-            "float64 elimination over F_p is exact"
+            f"modulus {p} is outside 2 <= p < 2**26, the supported range"
         )
 
 
@@ -148,9 +148,10 @@ def _local(label, index):
     return local, counts.tolist(), np.split(nodes, first[1:])
 
 
-def _check_fill(held: int, shape) -> None:
+def require_held_entries(held: int, shape, verb: str = "eliminating") -> None:
+    """Refuse `held` entries of a `shape` matrix above MAX_HELD_ENTRIES."""
     if held > MAX_HELD_ENTRIES:
-        raise ValueError(f"resource guard: eliminating a {shape[0]}x{shape[1]} F_p block "
+        raise ValueError(f"resource guard: {verb} a {shape[0]}x{shape[1]} F_p block "
                          f"holds more than the supported {MAX_HELD_ENTRIES} entries")
 
 
@@ -221,7 +222,7 @@ def _eliminate(shape, ri, ci, vals, p: int, jordan: bool):
                     else:
                         del row[c]
             held += len(row) - k - 1
-            _check_fill(held, shape)
+            require_held_entries(held, shape)
         if jordan:
             pivots[j] = {c: v * inv % p for c, v in prow.items()}
         else:
@@ -241,7 +242,7 @@ def _eliminate(shape, ri, ci, vals, p: int, jordan: bool):
                     else:
                         del row[c2]
         held += len(row) - k
-        _check_fill(held, shape)
+        require_held_entries(held, shape)
     pc = sorted(pivots)
     counts, fc, fv = [], [], []
     for j in pc:
@@ -261,15 +262,12 @@ def _reduced(a: Entries, p: int, jordan: bool):
     A component whose shape and local entries equal, byte for byte, those
     of one already seen in this call reuses its result, which is all the
     memo keeps: a rank, or a kernel's local entries.  A component of more
-    than MAX_BLOCK_CELLS cells, or of more than MAX_HELD_ENTRIES entries,
-    is refused before its key is copied out of it.
+    than MAX_HELD_ENTRIES entries is refused before its key is copied out
+    of it.
     """
     seen = {}
     for cs, ri, ci, vals, shape in _blocks(a, p):
-        if shape[0] * shape[1] > MAX_BLOCK_CELLS:
-            raise ValueError(f"resource guard: a {shape[0]}x{shape[1]} F_p block "
-                             f"has more than the supported {MAX_BLOCK_CELLS} cells")
-        _check_fill(ri.size, shape)
+        require_held_entries(ri.size, shape)
         key = (shape, ri.tobytes(), ci.tobytes(), vals.tobytes())
         if key not in seen:
             seen[key] = _eliminate(shape, ri, ci, vals, p, jordan)

@@ -86,7 +86,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import Entries
+from .linalg import Entries, require_held_entries
 from .scrolls import ScrollSpec, scroll_matrix
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
@@ -190,12 +190,19 @@ class SparseMatrixR:
                          for (i, j), hit in zip(m.blocks, hits) if hit), None)
         return _per_node(self, leaf, node, {})
 
+    def require_evaluable(self) -> None:
+        """Refuse a matrix of more than MAX_HELD_ENTRIES entries; visits
+        each distinct node once and builds no array."""
+        require_held_entries(len(self.entries), (self.rows, self.cols), "evaluating")
+
     def eval_modp(self, values: list[int], p: int) -> Entries:
         """The entries' images at x_i = values[i-1] mod p, one per entry.
 
         Each distinct node is visited, and each `Element` object
-        evaluated, once.
+        evaluated, once.  A matrix of more than MAX_HELD_ENTRIES entries
+        is refused first (`require_evaluable`).
         """
+        self.require_evaluable()
         rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), np.float64, {})
         return Entries((self.rows, self.cols), rows, cols, vals)
 

@@ -10,7 +10,7 @@ import pytest
 
 from scrollres.checks import GROEBNER_MAX_N
 from scrollres.cli import _printable_betti, main
-from scrollres.linalg import MAX_BLOCK_CELLS
+from scrollres.linalg import MAX_HELD_ENTRIES
 from scrollres.resolution import field_resolution
 from scrollres.scrolls import build_scroll
 from scrollres.series import betti
@@ -411,20 +411,35 @@ def run_capped(argv):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["--scroll", "30,30", "--steps", "3", "--checks", "exact"],
-     f"resource guard: a 3423x195112 F_p block has more than the supported {MAX_BLOCK_CELLS} cells"),
     (["--scroll", "24,24", "--steps", "2", "--checks", "ranks"],
-     f"resource guard: a 2070x93150 F_p block has more than the supported {MAX_BLOCK_CELLS} cells"),
+     "resource guard: evaluating a 93150x4191750 F_p block holds more than the supported "
+     f"{MAX_HELD_ENTRIES} entries"),
+    (["--scroll", "40,40", "--steps", "2", "--checks", "ranks"],
+     "resource guard: evaluating a 462462x35609574 F_p block holds more than the supported "
+     f"{MAX_HELD_ENTRIES} entries"),
     (["--scroll", "24,24", "--steps", "2", "--checks", "minors,groebner"],
      f"enumeration guard: n <= {GROEBNER_MAX_N}"),
-], ids=["exact", "ranks", "groebner"])
+], ids=["ranks", "ranks-40-40", "groebner"])
 def test_guards_refuse_before_the_work(tmp_path, argv, error):
-    """The dense F_p block bound, and groebner's bound before the minors run."""
+    """The evaluation bound before the first probe, and groebner's bound
+    before the minors run."""
     path = tmp_path / "F"
     rc, out, err, seconds = run_capped(["verify", *argv, "--out", str(path)])
     assert (rc, out, err) == (2, "", f"error: {error}\n")
     assert seconds < 3
     assert not path.exists()
+
+
+def test_exact_check_on_a_wide_scroll_passes_under_the_cap(tmp_path):
+    """Step 3 of (30,30) has 3423x195112 cells but few entries, so its
+    probes run within the entries bound."""
+    path = tmp_path / "F"
+    rc, out, err, _ = run_capped(["verify", "--scroll", "30,30", "--steps", "3",
+                                  "--checks", "exact", "--out", str(path)])
+    assert (rc, out, err) == (0, "", "")
+    reports = json.loads(path.read_text())["checks"]
+    assert [r["name"] for r in reports] == ["exact@1", "exact@2"]
+    assert all(r["verdict"] == "pass" for r in reports)
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):

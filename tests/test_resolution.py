@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scrollres import linalg, resolution
 from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
-                              inject_fault, scroll_point)
+                              check_phi_ranks, inject_fault, scroll_point)
 from scrollres.ring import ring_for
-from scrollres.resolution import (MAX_FREE_RANK, Resolution, SparseMatrixR,
+from scrollres.resolution import (MAX_FREE_RANK, MAX_STEPS, Resolution, SparseMatrixR,
                                   _grid, _phi, _sizes, alpha, direct_sum, field_resolution,
                                   phi, phi0, phi1, phi2, resolution_of, staircase,
                                   u_block, v_block)
@@ -569,6 +570,44 @@ def test_field_resolution_size_guard():
     assert betti(S45, 8) <= MAX_FREE_RANK < betti(S45, 9)
     with pytest.raises(ValueError, match="rank 16003008, above the supported 3000000$"):
         field_resolution(S45, 9)
+
+
+def test_evaluation_guard_refuses_no_step_that_is_built():
+    """Every step `field_resolution` accepts has at most MAX_HELD_ENTRIES
+    entries, so `eval_modp` refuses none of them; counted, not evaluated."""
+    most = 0
+    for m in range(2, 13):
+        for q in range(m, 13):
+            spec = build_scroll([m, q])
+            last = 4 if (m, q) == (2, 2) else MAX_STEPS  # (2,2): beta_i = 8 for i >= 3
+            steps = 1
+            while steps < last and betti(spec, steps + 1) <= MAX_FREE_RANK:
+                steps += 1
+            for step in field_resolution(spec, steps).steps:
+                most = max(most, len(step.entries))
+    assert most <= linalg.MAX_HELD_ENTRIES
+
+
+def test_evaluation_is_refused_before_any_array_is_built(monkeypatch):
+    def materialise(*args):
+        raise AssertionError("an array was built")
+    monkeypatch.setattr(resolution, "_arrays", materialise)
+    step = field_resolution(S33, 3).steps[2]
+    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", len(step.entries) - 1)
+    error = (f"resource guard: evaluating a {step.rows}x{step.cols} F_p block holds more "
+             f"than the supported {len(step.entries) - 1} entries")
+    with pytest.raises(ValueError) as err:
+        step.eval_modp(scroll_point(S33, random.Random(0), 101), 101)
+    assert str(err.value) == error
+    # only the largest matrix is refused; a probe of any other reaches `_arrays`
+    mats = [phi(S33, i) for i in range(4)] + [staircase(S33, d) for d in range(2, 6)]
+    largest = max(mats, key=lambda mat: len(mat.entries))
+    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", len(largest.entries) - 1)
+    with pytest.raises(ValueError) as err:
+        check_phi_ranks(S33, 3, 101)
+    assert str(err.value) == (f"resource guard: evaluating a {largest.rows}x{largest.cols} "
+                              f"F_p block holds more than the supported "
+                              f"{len(largest.entries) - 1} entries")
 
 
 def test_resolution_rejects_bad_chain():
