@@ -149,8 +149,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown check {c!r}; choose from {sorted(CHECKS)}")
     if not wanted or len(set(wanted)) < len(wanted):
         raise ValueError(f"--checks must name each check once, got {args.checks!r}")
-    if not (2 < args.modulus < linalg.MAX_MODULUS and linalg.is_prime(args.modulus)):
-        raise ValueError(f"--modulus must be a prime p with 2 < p < 2**26, got {args.modulus}")
+    linalg.require_prime_modulus(args.modulus, 3)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if "groebner" in wanted:

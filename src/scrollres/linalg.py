@@ -1,8 +1,8 @@
 """Exact linear algebra over a prime field F_p.
 
 `rank_modp` and `nullspace_modp` are the entry points.  `Entries`, coordinate
-lists whose values add up at a repeated coordinate, is the one matrix
-format they take and the one `nullspace_modp` returns.  The matrices
+lists of integer values that add up at a repeated coordinate, is the one
+matrix format they take and the one `nullspace_modp` returns.  The matrices
 this package builds are sparse and block-diagonal up to a permutation,
 so both split the entries into the connected components of the
 row-column graph and reduce each component with `_eliminate`, the one
@@ -14,22 +14,25 @@ Python-int residues, columns are taken in increasing order, and the
 pivot of a column is the shortest live row that holds it.  The blocks
 the CLI builds are sparse and stay sparse under elimination, so work
 and memory follow the entries and their fill-in, not the cells; a dense
-block costs more than it would as a float64 array.  `rank_modp` stops at the
-echelon form; `nullspace_modp` goes on to the reduced row echelon form,
-which is unique, so its kernel basis does not depend on the pivot order.
+block costs more than a dense-array elimination would.  `rank_modp`
+stops at the echelon form; `nullspace_modp` goes on to the reduced row
+echelon form, which is unique, so its kernel basis does not depend on
+the pivot order.
 
 The same few blocks repeat many times along the diagonal, so within one
 call each distinct component is reduced once.  Components are compared
-by their local entries (shape, row and column indices, values, all as
-exact bytes): equal entries give an equal result, and a repeat whose
-entries come in another order is merely reduced again.  The memo keeps
-only what the caller uses, a rank or a kernel's local entries, and
-nothing is kept between calls.
+by their shape and their local entries (row, column and residue mod p,
+as exact bytes): equal entries give an equal result, values that are
+equal mod p count as equal, and a repeat whose entries come in another
+order is merely reduced again.  The memo keeps only what the caller uses, a
+rank or a kernel's local entries, and nothing is kept between calls.
 
-Python ints make the elimination exact for any modulus.  Every entry
-point, the CLI's `--modulus` included, supports 2 <= p < MAX_MODULUS =
-2**26 and refuses any other modulus; `Entries` carry the residues as
-float64 values, which hold that range exactly.
+`require_prime_modulus` is the one modulus rule, for every entry point,
+the CLI's `--modulus` included: a prime p with 2 <= p < MAX_MODULUS =
+2**26 (3 <= p for the rank probes), the range checked before the trial
+division.  Residues are int64 from `SparseMatrixR.eval_modp` to the
+kernel basis, and Python ints inside the elimination, which is exact
+for any modulus; the bound keeps the documented range.
 
 The one resource bound is MAX_HELD_ENTRIES.  It refuses a component of
 more entries before it is reduced, an elimination whose fill-in takes
@@ -38,6 +41,7 @@ of more entries before it is evaluated (`SparseMatrixR.eval_modp`).
 """
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -55,33 +59,22 @@ MAX_HELD_ENTRIES = 8 * 10**6
 
 
 def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    return q >= 2 and all(q % f for f in range(2, isqrt(q) + 1))
 
 
-def require_exact_modulus(p: int) -> None:
-    """Refuse a modulus outside [2, MAX_MODULUS).
+def require_prime_modulus(p: int, least: int = 2) -> None:
+    """Refuse a modulus that is not a prime p with least <= p < MAX_MODULUS.
 
-    Callers run this before `is_prime`, whose trial division takes time
-    proportional to the square root of the modulus.
+    The range comes first, so a huge modulus is refused before `is_prime`,
+    whose trial division takes time proportional to its square root.
     """
-    if not 2 <= p < MAX_MODULUS:
-        raise ValueError(
-            f"modulus {p} is outside 2 <= p < 2**26, the supported range"
-        )
+    if not (least <= p < MAX_MODULUS and is_prime(p)):
+        raise ValueError(f"modulus {p} is not a prime p with {least} <= p < 2**26")
 
 
 class Entries(NamedTuple):
-    """A sparse matrix as coordinate lists; values at a repeated
-    coordinate add up."""
+    """A sparse matrix as coordinate lists of integer values; values at a
+    repeated coordinate add up."""
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
@@ -89,21 +82,23 @@ class Entries(NamedTuple):
 
 
 def _blocks(a: Entries, p: int):
-    """(cs, ri, ci, vals, shape) for each connected component.
+    """(cs, shape, entries) for each connected component.
 
     Rows and columns are the nodes and every entry is an edge.
     Union-find on whole arrays: each root is hooked to the smallest root
     it shares an edge with, then labels jump to their roots, until every
     edge joins equal labels.  A component's block has `shape`, over its
-    rows and its columns `cs`, both ascending; its entries sit at local
-    rows `ri` and local columns `ci`.  Rows and columns without entries
-    belong to no component.  An entry that is 0 mod p only merges two
-    components, which is still sound.  The local indices of all
-    components come from one pass over the rows and one over the
-    columns (`_local`).  Moduli outside [2, MAX_MODULUS) are refused
-    here, for both entry points.
+    rows and its columns `cs`, both ascending.  `entries` is its slice of
+    one int64 array of all entries, sorted by component once: a row
+    (local row, local column, value mod p) per entry, in the given order
+    within the component.  Rows and columns without entries belong to no
+    component.  An entry that is 0 mod p only merges two components,
+    which is still sound.  The local indices of all components come from
+    one pass over the rows and one over the columns (`_local`).  A
+    modulus that `require_prime_modulus` refuses is refused here, for
+    both entry points.
     """
-    require_exact_modulus(p)
+    require_prime_modulus(p)
     m = a.shape[0]
     u, v = a.rows, a.cols + m
     label = np.arange(m + a.shape[1])
@@ -119,11 +114,18 @@ def _blocks(a: Entries, p: int):
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    local_row, nr, _ = _local(label[:m], a.rows)
-    local_col, nc, cs = _local(label[m:], a.cols)
+    local_row, _, nr = _local(label[:m], a.rows)
+    local_col, cs, nc = _local(label[m:], a.cols)
     order = np.argsort(lu, kind="stable")
-    for k, e in enumerate(np.split(order, np.flatnonzero(np.diff(lu[order])) + 1)):
-        yield cs[k], local_row[a.rows[e]], local_col[a.cols[e]], a.vals[e], (nr[k], nc[k])
+    entries = np.empty((order.size, 3), dtype=np.int64)
+    entries[:, 0] = local_row[a.rows[order]]
+    entries[:, 1] = local_col[a.cols[order]]
+    entries[:, 2] = np.mod(a.vals[order], p)
+    ends = np.append(np.flatnonzero(np.diff(lu[order])) + 1, order.size).tolist()
+    e0 = c0 = 0
+    for e1, r, c in zip(ends, nr, nc):
+        yield cs[c0:c0 + c], (r, c), entries[e0:e1]
+        e0, c0 = e1, c0 + c
 
 
 def _local(label, index):
@@ -132,8 +134,9 @@ def _local(label, index):
 
     `label` holds the component of each row (or column), and `index` the
     row (or column) of each entry.  Returns, per row, its rank among the
-    rows with entries in its component, and, per component in increasing
-    label, how many such rows it has and which, ascending.
+    rows with entries in its component; the rows with entries, by
+    component in increasing label and ascending within one; and how many
+    of them each component has.
     """
     used = np.zeros(label.size, dtype=bool)
     used[index] = True
@@ -141,11 +144,11 @@ def _local(label, index):
     lab = label[nodes]
     o = np.argsort(lab, kind="stable")
     nodes = nodes[o]
-    first = np.concatenate(([0], np.flatnonzero(np.diff(lab[o])) + 1))
+    first = np.flatnonzero(np.diff(lab[o], prepend=-1))
     counts = np.diff(np.append(first, nodes.size))
     local = np.empty(label.size, dtype=np.intp)
     local[nodes] = np.arange(nodes.size) - np.repeat(first, counts)
-    return local, counts.tolist(), np.split(nodes, first[1:])
+    return local, nodes, counts.tolist()
 
 
 def require_held_entries(held: int, shape, verb: str = "eliminating") -> None:
@@ -155,15 +158,16 @@ def require_held_entries(held: int, shape, verb: str = "eliminating") -> None:
                          f"holds more than the supported {MAX_HELD_ENTRIES} entries")
 
 
-def _eliminate(shape, ri, ci, vals, p: int, jordan: bool):
+def _eliminate(shape, entries, p: int, jordan: bool):
     """Sparse elimination of one component over F_p.
 
-    The block of `shape` has entries `vals` at local rows `ri` and columns
-    `ci`.  Each row is a dict {column: residue} of Python ints: entries at
-    one coordinate are added up mod p and zeros dropped.  Columns are taken
-    in increasing order; the pivot of a column is the shortest live row
-    that holds it, and it clears that column in the other live rows, with
-    no back-substitution.  Rank-only, the result is the number of pivots.
+    The block of `shape` has `entries`, rows (local row, local column,
+    residue) as `_blocks` gives them, read with one `tolist`.  Each row is
+    a dict {column: residue} of Python ints: entries at one coordinate are
+    added up mod p and zeros dropped.  Columns are taken in increasing
+    order; the pivot of a column is the shortest live row that holds it,
+    and it clears that column in the other live rows, with no
+    back-substitution.  Rank-only, the result is the number of pivots.
 
     With `jordan`, each pivot row is scaled to 1 at its pivot, and then,
     from the last pivot to the first, cleared at every later pivot column
@@ -179,7 +183,8 @@ def _eliminate(shape, ri, ci, vals, p: int, jordan: bool):
     # holders[c] lists the rows that have held column c; a row may be
     # listed under c twice, after it lost c to cancellation and regained it
     holders = [[] for _ in range(n)]
-    for r, c, v in zip(ri.tolist(), ci.tolist(), np.mod(vals, p).astype(np.int64).tolist()):
+    flat = iter(entries.ravel().tolist())
+    for r, c, v in zip(flat, flat, flat):
         row = rows[r]
         if c in row:
             row[c] = (row[c] + v) % p
@@ -253,24 +258,24 @@ def _eliminate(shape, ri, ci, vals, p: int, jordan: bool):
         fv += row.values()
     pc = np.array(pc, dtype=np.intp)
     return (pc, np.repeat(pc, counts), np.array(fc, dtype=np.intp),
-            p - np.array(fv, dtype=np.float64))
+            p - np.array(fv, dtype=np.int64))
 
 
 def _reduced(a: Entries, p: int, jordan: bool):
     """(cs, _eliminate(...)) for each connected component.
 
-    A component whose shape and local entries equal, byte for byte, those
-    of one already seen in this call reuses its result, which is all the
-    memo keeps: a rank, or a kernel's local entries.  A component of more
-    than MAX_HELD_ENTRIES entries is refused before its key is copied out
-    of it.
+    A component whose shape and local entries, residues included, equal
+    byte for byte those of one already seen in this call reuses its
+    result, which is all the memo keeps: a rank, or a kernel's local
+    entries.  A component of more than MAX_HELD_ENTRIES entries is refused
+    before its key is copied out of it.
     """
     seen = {}
-    for cs, ri, ci, vals, shape in _blocks(a, p):
-        require_held_entries(ri.size, shape)
-        key = (shape, ri.tobytes(), ci.tobytes(), vals.tobytes())
+    for cs, shape, entries in _blocks(a, p):
+        require_held_entries(len(entries), shape)
+        key = (shape, entries.tobytes())
         if key not in seen:
-            seen[key] = _eliminate(shape, ri, ci, vals, p, jordan)
+            seen[key] = _eliminate(shape, entries, p, jordan)
         yield cs, seen[key]
 
 
@@ -285,7 +290,7 @@ def nullspace_modp(a: Entries, p: int) -> Entries:
     One column per non-pivot column c of the reduced row echelon form, in
     increasing c: 1 at c, minus column c of R at the pivot positions, and
     nothing elsewhere.  Columns without entries give unit vectors.  Each
-    coordinate appears once, in row-major order, valued in [1, p) (float64).
+    coordinate appears once, in row-major order, valued in [1, p) (int64).
     """
     n = a.shape[1]
     free = np.ones(n, dtype=bool)
@@ -294,7 +299,7 @@ def nullspace_modp(a: Entries, p: int) -> Entries:
         free[cs[pivots]] = False
         parts.append((cs[r], cs[c], v))
     fc = np.flatnonzero(free)
-    rows, cols, vals = (np.concatenate(x) for x in zip((fc, fc, np.ones(fc.size)), *parts))
+    rows, cols, vals = (np.concatenate(x) for x in zip((fc, fc, np.ones_like(fc)), *parts))
     order = np.lexsort((cols, rows))
     slot = np.cumsum(free) - 1  # basis column of each free column
     return Entries((n, fc.size), rows[order], slot[cols[order]], vals[order])

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Entries, is_prime, nullspace_modp, rank_modp, require_exact_modulus
+from .linalg import Entries, nullspace_modp, rank_modp, require_prime_modulus
 from .ring import ring_for
 from .scrolls import ScrollSpec
 from .series import betti
@@ -125,9 +125,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     Entries are stored for the window j in {i-1, i, i+1, i+2} at each
     homological step i <= imax, plus beta_{0,0} = 1.
     """
-    require_exact_modulus(modulus)
-    if not is_prime(modulus):
-        raise ValueError("modulus must be prime")
+    require_prime_modulus(modulus)
     if spec.n > _MAX_N or imax > _MAX_IMAX:
         raise ValueError(
             f"resource guard: oracle supports n <= {_MAX_N}, imax <= {_MAX_IMAX}"
@@ -140,7 +138,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     table = BettiTable(p, {(0, 0): 1, (1, 0): 0}, imax)
     # step 1 starts from d_0, the augmentation: ker(d_0)_j = R_j for j >= 1,
     # so over its one generator the degree-1 kernel basis is the identity
-    kernel = Entries((n, n), np.arange(n), np.arange(n), np.ones(n))
+    kernel = Entries((n, n), np.arange(n), np.arange(n), np.ones(n, np.int64))
     # ker(d_{i-1}) in degrees i+1 and i+2
     near, far = len(graded_basis(spec, 2)), len(graded_basis(spec, 3))
     for i in range(1, imax + 1):

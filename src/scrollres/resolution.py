@@ -203,7 +203,7 @@ class SparseMatrixR:
         is refused first (`require_evaluable`).
         """
         self.require_evaluable()
-        rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), np.float64, {})
+        rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), {})
         return Entries((self.rows, self.cols), rows, cols, vals)
 
     def to_json_obj(self) -> dict:
@@ -298,9 +298,9 @@ def _per_node(mat: SparseMatrixR, leaf, node, memo: dict, cached: dict | None = 
     return table[key]
 
 
-def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict, cached: dict | None = None,
+def _arrays(mat: SparseMatrixR, fn, memo: dict, cached: dict | None = None,
             images: dict | None = None):
-    """(rows, cols, fn(entry)) arrays of mat's entries, in iteration order.
+    """(rows, cols, fn(entry)) intp arrays of mat's entries, in iteration order.
 
     fn runs once per distinct Element object per images memo (one per
     call if none is given); a grid concatenates its blocks' arrays, each
@@ -317,7 +317,7 @@ def _arrays(mat: SparseMatrixR, fn, dtype, memo: dict, cached: dict | None = Non
     def leaf(m):
         flat = np.fromiter(chain.from_iterable(m.entries), np.intp, 2 * len(m.entries))
         rows, cols = flat.reshape(-1, 2).T
-        return rows, cols, np.array([image(e) for e in m.entries.values()], dtype=dtype)
+        return rows, cols, np.array([image(e) for e in m.entries.values()], dtype=np.intp)
 
     def node(m, parts):
         offsets = [(m.row_starts[i], m.col_starts[j]) for i, j in m.blocks]
@@ -397,8 +397,8 @@ class _ProductRun:
         """
         sums: dict[tuple[int, int], dict] = {}
         for lhs, rhs in terms:
-            a_row, a_mid, a_val = (x.tolist() for x in _arrays(lhs, self.intern, np.intp, {}))
-            b_mid, b_col, b_val = (x.tolist() for x in _arrays(rhs, self.intern, np.intp, {}))
+            a_row, a_mid, a_val = (x.tolist() for x in _arrays(lhs, self.intern, {}))
+            b_mid, b_col, b_val = (x.tolist() for x in _arrays(rhs, self.intern, {}))
             by_mid: dict[int, list] = {}
             for mid, col, right in zip(b_mid, b_col, b_val):
                 by_mid.setdefault(mid, []).append((col, right))
@@ -484,7 +484,7 @@ def _keyed(mat: SparseMatrixR, fn, cached: dict, images: dict) -> tuple[np.ndarr
     if mat.rows * mat.cols > np.iinfo(np.intp).max:
         raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
     memo: dict = {}
-    parts = [(_arrays(node, fn, np.intp, memo, cached, images), r0 * mat.cols + c0)
+    parts = [(_arrays(node, fn, memo, cached, images), r0 * mat.cols + c0)
              for node, r0, c0 in _cached_parts(mat, 0, 0)]
     keys = np.empty(sum(vals.size for (_, _, vals), _ in parts), np.intp)
     at = 0

@@ -148,8 +148,8 @@ def test_verify_refuses_modulus_that_is_not_a_usable_prime(capsys, monkeypatch):
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == ("error: --modulus must be a prime p with "
-                                    f"2 < p < 2**26, got {modulus}\n")
+            assert captured.err == (f"error: modulus {modulus} is not a prime p with "
+                                    "3 <= p < 2**26\n")
 
 
 def test_verify_refuses_trials_below_one(capsys, monkeypatch):
@@ -464,14 +464,14 @@ def test_reader_closing_stdout_early_is_not_an_error():
     # 0.4 MB of text cannot fit in the pipe, so the writer is still
     # writing when the reader stops
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "scrollres.cli", "resolve", "--scroll", "4,5",
-         "--steps", "5", "--format", "text"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"# step 1: 1 x 9\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "scrollres.cli", "resolve", "--scroll", "4,5",
+             "--steps", "5", "--format", "text"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"# step 1: 1 x 9\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert err == b""
 
 

@@ -1,13 +1,16 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from scrollres import linalg
-from scrollres.checks import scroll_point
+from scrollres.checks import probe_rank, scroll_point
+from scrollres.cli import main
 from scrollres.linalg import (MAX_MODULUS, Entries, _blocks, is_prime,
                               nullspace_modp, rank_modp)
-from scrollres.resolution import field_resolution
+from scrollres.oracle import betti_oracle
+from scrollres.resolution import field_resolution, phi
 from scrollres.scrolls import build_scroll
 
 
@@ -134,19 +137,19 @@ def test_entry_equal_to_p_links_row_and_column():
     p = 101
     a = Entries((2, 3), np.array([0, 0, 1]), np.array([0, 1, 1]),
                 np.array([1.0, p, 1.0]))
-    (cs, ri, ci, vals, shape), = _blocks(a, p)
-    assert cs.tolist() == [0, 1]
-    block = np.zeros(shape)
-    np.add.at(block, (ri, ci), vals)
-    assert block.tolist() == [[1, p], [0, 1]]
+    (cs, shape, ents), = _blocks(a, p)
+    assert cs.tolist() == [0, 1] and shape == (2, 2)
+    # the entry p is kept, as residue 0, and links row 0 to column 1
+    assert ents.dtype == np.int64
+    assert ents.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 1]]
     assert rank_modp(a, p) == 2
     assert dense(nullspace_modp(a, p)).tolist() == [[0], [0], [1]]
 
 
-def reference_blocks(a):
+def reference_blocks(a, p):
     """_blocks by a plain union-find and np.unique per component: the
-    entries of each component in their given order, components by their
-    smallest row."""
+    entries of each component in their given order, values mod p,
+    components by their smallest row."""
     m = a.shape[0]
     parent = list(range(m + a.shape[1]))
 
@@ -163,7 +166,7 @@ def reference_blocks(a):
     for _, e in sorted(members.items()):
         rs, ri = np.unique(a.rows[e], return_inverse=True)
         cs, ci = np.unique(a.cols[e], return_inverse=True)
-        yield cs, ri, ci, a.vals[e], (rs.size, cs.size)
+        yield cs, (rs.size, cs.size), np.column_stack((ri, ci, a.vals[e] % p)).astype(np.int64)
 
 
 def test_blocks_match_per_component_unique():
@@ -173,13 +176,14 @@ def test_blocks_match_per_component_unique():
         a = entries(mat)
         order = rng.permutation(a.rows.size)
         for a in (a, Entries(a.shape, a.rows[order], a.cols[order], a.vals[order])):
-            got = [b for b in _blocks(a, 101) if b[1].size]
-            want = list(reference_blocks(a))
+            got = list(_blocks(a, 101))
+            want = list(reference_blocks(a, 101))
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert g[4] == w[4]
-                for x, y in zip(g[:4], w[:4]):
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                assert g[1] == w[1]
+                for x, y in ((g[0], w[0]), (g[2], w[2])):
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes()
 
 
 def reference_nullspace(mat, p):
@@ -278,6 +282,19 @@ def test_repeated_components_match_dense_reference(monkeypatch):
             # a shuffled entry list may miss the memo but stays exact
             assert_matches_dense_reference(
                 diagonal(comps, extra, rng.permutation), p)
+
+
+def test_components_equal_mod_p_share_one_elimination(monkeypatch):
+    p = 101
+    calls = count_rref_calls(monkeypatch)
+    block = ([0, 0, 1], [0, 1, 1], [1, 2, 3], (2, 2))
+    lifted = ([0, 0, 1], [0, 1, 1], [1 + p, 2 - p, 3 + 5 * p], (2, 2))
+    one, one_lifted = ([0], [0], [1], (1, 1)), ([0], [0], [1 + p], (1, 1))
+    for comps in ([block, lifted], [lifted, block, lifted], [one, one_lifted]):
+        calls.clear()
+        assert_matches_dense_reference(diagonal(comps), p)
+        # one elimination in rank_modp and one in nullspace_modp
+        assert calls == [comps[0][3]] * 2
 
 
 def test_near_duplicate_components_are_kept_apart():
@@ -468,3 +485,42 @@ def test_reference_rref_pivots():
     assert pivots == [0, 2]
     assert red == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
     assert reference_rank(mat, p) == 2
+
+
+ENTRY_POINTS = {
+    # name: (the least modulus it accepts, a call with the modulus)
+    "rank_modp": (2, lambda p: rank_modp(entries([[2]]), p)),
+    "nullspace_modp": (2, lambda p: nullspace_modp(entries([[2]]), p)),
+    "probe_rank": (3, lambda p: probe_rank(phi(build_scroll([3, 3]), 1), modulus=p)),
+    "betti_oracle": (2, lambda p: betti_oracle(build_scroll([3, 3]), 2, p)),
+    "verify": (3, lambda p: main(["verify", "--scroll", "3,3", "--steps", "2",
+                                  "--checks", "exact", "--modulus", str(p)])),
+    "oracle": (2, lambda p: main(["oracle", "--scroll", "3,3", "--imax", "2",
+                                  "--modulus", str(p)])),
+}
+
+
+@pytest.mark.parametrize("modulus", [4, 1, 0, -7, 2**26 + 15, 10**18 + 3, 2])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_keeps_the_one_modulus_rule(capsys, name, modulus):
+    """One rule, one message: a prime p with least <= p < 2**26, where
+    least is 3 for the probes and 2 elsewhere; the range is checked
+    before the trial division."""
+    least, call = ENTRY_POINTS[name]
+    if modulus == least:  # 2, for linalg and the oracle
+        result = call(modulus)
+        if name == "oracle":
+            assert result == 0 and capsys.readouterr().err == ""
+        return
+    start = time.perf_counter()
+    try:
+        rc = call(modulus)
+    except ValueError as exc:
+        message = str(exc)
+    else:  # the CLI: a usage error, with the message on one stderr line
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        message = captured.err[len("error: "):-1]
+    assert time.perf_counter() - start < 1
+    assert message == f"modulus {modulus} is not a prime p with {least} <= p < 2**26"
