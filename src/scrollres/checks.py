@@ -218,14 +218,18 @@ def check_phi_ranks(
 ) -> list[CheckReport]:
     """Probe rank(phi_i) == (n-3)**i and rank(staircase_d) == d-1.
 
-    Every matrix is built and passes `require_evaluable` before the
-    first probe.
+    Each matrix passes `require_evaluable` as soon as it is built, the
+    phi_i first, so an oversized one is refused before the rest are
+    built, and every one before the first probe.
     """
     n = spec.n
-    mats = [(f"phi{i}", phi(spec, i), (n - 3) ** i, seed + i) for i in range(imax + 1)]
-    mats += [(f"staircase{d}", staircase(spec, d), d - 1, seed + 100 + d) for d in range(2, n)]
-    for _, mat, _, _ in mats:
+    plan = [(f"phi{i}", phi, i, (n - 3) ** i, seed + i) for i in range(imax + 1)]
+    plan += [(f"staircase{d}", staircase, d, d - 1, seed + 100 + d) for d in range(2, n)]
+    mats = []
+    for name, build, index, claimed, probe_seed in plan:
+        mat = build(spec, index)
         mat.require_evaluable()
+        mats.append((name, mat, claimed, probe_seed))
     out = []
     for name, mat, claimed, probe_seed in mats:
         rep = probe_rank(mat, trials, modulus, probe_seed, claimed=claimed, matrix_id=name)
@@ -234,20 +238,26 @@ def check_phi_ranks(
     return out
 
 
-# the most variables `groebner_consistency` enumerates standard monomials in
-GROEBNER_MAX_N = 9
+# the most variables of the checks whose work grows with n alone:
+# `groebner` enumerates standard monomials, and `minors` certifies every
+# variable of phi0, phi1, phi2 and each staircase, work that grows about
+# as n**4.7 (cold on a 2-core box, `verify --scroll 24,24 --steps 2
+# --checks minors` takes 12 s)
+MAX_N = {"groebner": 9, "minors": 48}
 
 
-def require_groebner_size(spec: ScrollSpec) -> None:
-    if spec.n > GROEBNER_MAX_N:
-        raise ValueError(f"enumeration guard: n <= {GROEBNER_MAX_N}")
+def require_size(spec: ScrollSpec, check: str) -> None:
+    """Refuse a scroll with more variables than `check` accepts."""
+    if spec.n > MAX_N[check]:
+        raise ValueError(f"enumeration guard: --checks {check} needs n <= {MAX_N[check]}, "
+                         f"got n = {spec.n}")
 
 
 def groebner_consistency(spec: ScrollSpec, dmax: int) -> CheckReport:
     """Standard monomials: unique per multidegree, counted by the series."""
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
-    require_groebner_size(spec)
+    require_size(spec, "groebner")
     ring = ring_for(spec)
     coeffs = hilbert_coefficients(spec, dmax)
     counts = {}
@@ -498,6 +508,7 @@ def minor_reports(spec: ScrollSpec, seed: int) -> list[dict]:
     Every variable is certified for phi0, phi1, phi2 and each staircase(d),
     2 <= d < n; an ambiguous certificate passes, a failed one fails.
     """
+    require_size(spec, "minors")
     targets = [("phi0", None), ("phi1", None), ("phi2", None)]
     targets += [("staircase", d) for d in range(2, spec.n)]
     certs = [minor_certificate(spec, target, var, d=d)

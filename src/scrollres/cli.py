@@ -152,8 +152,9 @@ def cmd_verify(args) -> int:
     linalg.require_prime_modulus(args.modulus, 3)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if "groebner" in wanted:
-        checks.require_groebner_size(args.scroll)
+    for c in wanted:
+        if c in checks.MAX_N:
+            checks.require_size(args.scroll, c)
     if "exact" in wanted and args.steps < 2:
         raise ValueError("--checks exact needs --steps of at least 2: exactness "
                          f"at step i uses steps i and i+1, got {args.steps}")

@@ -41,6 +41,7 @@ of more entries before it is evaluated (`SparseMatrixR.eval_modp`).
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -58,7 +59,9 @@ MAX_MODULUS = 2**26
 MAX_HELD_ENTRIES = 8 * 10**6
 
 
+@lru_cache(maxsize=None)
 def is_prime(q: int) -> bool:
+    """Trial division, memoised: every F_p call tests its modulus again."""
     return q >= 2 and all(q % f for f in range(2, isqrt(q) + 1))
 
 

@@ -7,11 +7,13 @@ monomials are equal in the ring exactly when they have the same
 multidegree (the grading matrix applied to the exponents), and each
 multidegree holds exactly one standard monomial.  `nf_monomial` reads
 that monomial off the multidegree, and the normal form of a polynomial
-is its termwise normal form with coefficients collected.  Which
-monomials are standard is still decided by the minors' lead terms, so
-the `groebner` check tests the basis itself, and
-`nf_monomial_randomized` rewrites with the minors as an independent
-reference for `nf_monomial`.
+is its termwise normal form with coefficients collected, so a ring is
+built from its grading alone and builds no minor.  Which monomials are
+standard is still decided by the minors' lead terms, taken from
+`minor_generators` the first time they are asked for, so the `groebner`
+check tests the basis itself; `standard_monomials` builds each degree
+from the one below by a single extension.  `nf_monomial_randomized`
+rewrites with the minors as an independent reference for `nf_monomial`.
 
 Coefficients are exact Python ints or Fractions.  F_p is reached only
 through `Element.eval_modp`, which evaluates an element at a point.
@@ -19,8 +21,7 @@ through `Element.eval_modp`, which evaluates an element at a point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .scrolls import (Monomial, ScrollSpec, format_monomial, minor_generators,
@@ -38,34 +39,36 @@ def mono_degree(a: Monomial) -> int:
 class ScrollRing:
     """Normal forms, standard monomials and elements of one scroll's ring.
 
-    Normal forms come from multidegrees; the minors' lead terms decide
-    which monomials are standard, and the minors as rewrite rules give
+    The ring is built from its grading alone: normal forms come from
+    multidegrees.  The minors are only reached on demand, through
+    `minor_generators`: their lead terms, as per-variable partner sets,
+    decide which monomials are standard, and as rewrite rules they give
     the reference normal form of `nf_monomial_randomized`.
     """
 
     def __init__(self, spec: ScrollSpec):
         self.spec = spec
         self.n = spec.n
-        # reducers: (lead pair a, b, replacement adds), one per minor
-        self._reducers = []
-        for g in minor_generators(spec):
-            a, b = (i for i, e in enumerate(g.plus) if e)
-            adds = tuple((i, e) for i, e in enumerate(g.minus) if e)
-            self._reducers.append((a, b, adds))
-        self._gen_pairs = frozenset((a, b) for a, b, _ in self._reducers)
-        self._acols = tuple(
-            tuple(row[i] for row in toric_matrix(spec)) for i in range(self.n)
-        )
+        self._acols = tuple(zip(*toric_matrix(spec)))
         self._unit = (0,) * self.n
 
     # -- monomial level -------------------------------------------------
 
+    @cached_property
+    def _partners(self) -> tuple[int, ...]:
+        """Bit v of entry u is set iff x_u * x_v is the lead term of a minor."""
+        adj = [0] * self.n
+        for g in minor_generators(self.spec):
+            a, b = (i for i, e in enumerate(g.plus) if e)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return tuple(adj)
+
     def is_standard(self, mono: Monomial) -> bool:
         """True iff no leading term of a minor divides the monomial."""
-        for a, b in self._gen_pairs:
-            if mono[a] and mono[b]:
-                return False
-        return True
+        held = [i for i, e in enumerate(mono) if e]
+        mask = sum(1 << i for i in held)
+        return not any(self._partners[i] & mask for i in held)
 
     def nf_monomial(self, mono: Monomial) -> Monomial:
         """The unique standard monomial equal to `mono` in the ring.
@@ -99,18 +102,15 @@ class ScrollRing:
         apply.  Tests use it as a reference independent of the
         multidegree formula in `nf_monomial`.
         """
+        rules = [(tuple(i for i, e in enumerate(g.plus) if e), g)
+                 for g in minor_generators(self.spec)]
         cur = mono
         while True:
-            applicable = [r for r in self._reducers if cur[r[0]] and cur[r[1]]]
+            applicable = [g for (a, b), g in rules if cur[a] and cur[b]]
             if not applicable:
                 return cur
-            a, b, adds = applicable[rng.randrange(len(applicable))]
-            e = list(cur)
-            e[a] -= 1
-            e[b] -= 1
-            for i, x in adds:
-                e[i] += x
-            cur = tuple(e)
+            g = applicable[rng.randrange(len(applicable))]
+            cur = tuple(c - x + y for c, x, y in zip(cur, g.plus, g.minus))
 
     def adegree(self, mono: Monomial) -> tuple[int, ...]:
         """Multidegree: the grading matrix applied to the exponent vector."""
@@ -124,52 +124,30 @@ class ScrollRing:
 
     # -- standard monomial enumeration ----------------------------------
 
-    @lru_cache(maxsize=None)
-    def _faces(self) -> tuple[tuple[int, ...], ...]:
-        """All supports of standard monomials (0-based variable tuples).
-
-        The forbidden squarefree quadrics are pairs, so the admissible
-        supports are exactly the independent sets of the graph they span.
-        """
-        n = self.n
-        adj = [0] * n
-        for a, b in self._gen_pairs:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        faces = [()]
-        frontier = [((), 0)]
-        while frontier:
-            nxt = []
-            for verts, mask in frontier:
-                start = verts[-1] + 1 if verts else 0
-                for v in range(start, n):
-                    if adj[v] & mask:
-                        continue
-                    f = verts + (v,)
-                    faces.append(f)
-                    nxt.append((f, mask | (1 << v)))
-            frontier = nxt
-        return tuple(faces)
-
     def standard_monomials(self, d: int) -> list[Monomial]:
-        """All standard monomials of total degree d, lex-descending."""
+        """All standard monomials of total degree d, lex-descending.
+
+        A standard monomial of degree d is x_v times one of degree d-1,
+        where x_v is its first variable.  So each monomial of degree d-1
+        is extended by every variable up to its first that is no lead-term
+        partner of a variable it holds; grouping the results by that
+        variable, in increasing order, keeps them lex-descending.
+        """
         if d < 0:
             raise ValueError("degree must be non-negative")
-        if d == 0:
-            return [self._unit]
-        out = []
-        n = self.n
-        for face in self._faces():
-            s = len(face)
-            if not 1 <= s <= d:
-                continue
-            for comp in _compositions(d, s):
-                e = [0] * n
-                for v, c in zip(face, comp):
-                    e[v] = c
-                out.append(tuple(e))
-        out.sort(reverse=True)
-        return out
+        # (monomial, its first variable (the last for 1), the partners of its variables)
+        level = [(self._unit, self.n - 1, 0)]
+        for _ in range(d):
+            by_first = [[] for _ in range(self.n)]
+            for mono, first, banned in level:
+                free = ((2 << first) - 1) & ~banned
+                while free:
+                    v = (free & -free).bit_length() - 1
+                    free &= free - 1
+                    by_first[v].append((mono[:v] + (mono[v] + 1,) + mono[v + 1:], v,
+                                        banned | self._partners[v]))
+            level = [t for group in by_first for t in group]
+        return [mono for mono, _, _ in level]
 
     # -- element factory -------------------------------------------------
 
@@ -209,18 +187,6 @@ class ScrollRing:
         for flat, exp in pairs:
             e[flat - 1] += exp
         return self.element({tuple(e): sign})
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` positive ints summing to `total`."""
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        comp = []
-        for c in cuts:
-            comp.append(c - prev)
-            prev = c
-        comp.append(total - prev)
-        yield tuple(comp)
 
 
 class Element:

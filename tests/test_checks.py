@@ -1,13 +1,14 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
+from scrollres import checks, linalg
 from scrollres.checks import (FAULT_KINDS, check_complex, check_exactness,
                               check_minimality, check_phi_ranks,
                               groebner_consistency, inject_fault,
-                              minor_certificate, probe_rank, scroll_point)
+                              minor_certificate, minor_reports, probe_rank,
+                              scroll_point)
 from scrollres.resolution import SparseMatrixR, field_resolution, phi, staircase
 from scrollres.ring import ring_for
 from scrollres.scrolls import build_scroll
@@ -37,13 +38,6 @@ def test_scroll_point_lies_on_all_minors():
 def test_probe_rank_zero_matrix():
     rep = probe_rank(SparseMatrixR(ring_for(S33), 5, 7), trials=2, seed=1)
     assert rep.probe == 0
-
-
-def test_probe_rank_refuses_a_modulus_beyond_the_exact_range_first():
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"2\*\*26"):
-        probe_rank(phi(S33, 1), modulus=10**18 + 3)
-    assert time.perf_counter() - start < 1
 
 
 def test_probe_rank_known_values():
@@ -150,8 +144,28 @@ def test_groebner_consistency():
     assert groebner_consistency(S33, 4).ok
     assert groebner_consistency(S22, 3).ok
     assert groebner_consistency(S43, 4).ok
-    with pytest.raises(ValueError):
-        groebner_consistency(build_scroll([6, 5]), 2)  # n > 9 guard
+    with pytest.raises(ValueError, match="groebner needs n <= 9, got n = 11"):
+        groebner_consistency(build_scroll([6, 5]), 2)
+
+
+def test_minor_reports_refuse_a_wide_scroll_before_any_certificate(monkeypatch):
+    def certify(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+    monkeypatch.setattr(checks, "minor_certificate", certify)
+    with pytest.raises(ValueError, match="minors needs n <= 48, got n = 49"):
+        minor_reports(build_scroll([25, 24]), 0)
+
+
+def test_phi_ranks_refuse_a_matrix_before_building_the_next(monkeypatch):
+    phi3 = phi(S43, 3)
+    assert max(len(phi(S43, i).entries) for i in range(3)) < len(phi3.entries)
+    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", len(phi3.entries) - 1)
+
+    def build(spec, d):
+        raise AssertionError("a staircase was built")
+    monkeypatch.setattr(checks, "staircase", build)
+    with pytest.raises(ValueError, match=f"evaluating a {phi3.rows}x{phi3.cols} F_p block"):
+        check_phi_ranks(S43, 3, 101)
 
 
 def test_minor_certificate_phi1_full_power():

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from scrollres.checks import GROEBNER_MAX_N
+from scrollres.checks import MAX_N
 from scrollres.cli import _printable_betti, main
 from scrollres.linalg import MAX_HELD_ENTRIES
 from scrollres.resolution import field_resolution
@@ -106,28 +106,6 @@ def test_memory_error_is_usage_error(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-
-
-def test_modulus_beyond_exact_range_is_usage_error(capsys):
-    for argv in (["verify", "--scroll", "3,3", "--steps", "4",
-                  "--checks", "exact", "--modulus", "2147483647"],
-                 ["oracle", "--scroll", "3,3", "--modulus", "2147483647"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "2**26" in captured.err
-
-
-def test_modulus_far_beyond_exact_range_is_refused_before_primality(capsys):
-    """Trial division of 10**18 + 3 would run for minutes; the range check comes first."""
-    for argv in (["oracle", "--scroll", "3,3", "--modulus", "1000000000000000003"],
-                 ["oracle", "--compare", "--scroll", "3,3", "--modulus", "1000000000000000003"]):
-        start = time.perf_counter()
-        assert main(argv) == 2, argv
-        assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "2**26" in captured.err
 
 
 def refuse_builds(monkeypatch):
@@ -418,16 +396,28 @@ def run_capped(argv):
      "resource guard: evaluating a 462462x35609574 F_p block holds more than the supported "
      f"{MAX_HELD_ENTRIES} entries"),
     (["--scroll", "24,24", "--steps", "2", "--checks", "minors,groebner"],
-     f"enumeration guard: n <= {GROEBNER_MAX_N}"),
-], ids=["ranks", "ranks-40-40", "groebner"])
+     f"enumeration guard: --checks groebner needs n <= {MAX_N['groebner']}, got n = 48"),
+    (["--scroll", "25,24", "--steps", "2"],
+     f"enumeration guard: --checks minors needs n <= {MAX_N['minors']}, got n = 49"),
+], ids=["ranks", "ranks-40-40", "groebner", "minors"])
 def test_guards_refuse_before_the_work(tmp_path, argv, error):
-    """The evaluation bound before the first probe, and groebner's bound
-    before the minors run."""
+    """The evaluation bound before the first probe, and the bounds of
+    groebner and minors before the resolution is built."""
     path = tmp_path / "F"
     rc, out, err, seconds = run_capped(["verify", *argv, "--out", str(path)])
     assert (rc, out, err) == (2, "", f"error: {error}\n")
     assert seconds < 3
     assert not path.exists()
+
+
+def test_wide_scroll_resolves_under_the_cap(tmp_path):
+    """The ring of (400,400) is built from its grading, without the
+    C(798, 2) = 318,003 column pairs of its minors."""
+    path = tmp_path / "F"
+    rc, out, err, _ = run_capped(["resolve", "--scroll", "400,400", "--steps", "1",
+                                  "--out", str(path)])
+    assert (rc, out, err) == (0, "", "")
+    assert json.loads(path.read_text())["ranks"] == ["1", "800"]
 
 
 def test_exact_check_on_a_wide_scroll_passes_under_the_cap(tmp_path):

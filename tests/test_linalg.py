@@ -430,19 +430,21 @@ def test_no_entries_rank_zero_kernel_identity():
                               np.eye(shape[1], dtype=np.int64))
 
 
-def test_modulus_bound_is_enforced():
+def test_rank_at_the_largest_prime_below_the_bound():
     rng = np.random.default_rng(5)
-    big = 2**31 - 1  # prime, beyond the exact range
-    mat = rng.integers(0, big, size=(60, 90))
-    for f in (rank_modp, nullspace_modp):
-        with pytest.raises(ValueError, match=r"2\*\*26"):
-            f(entries(mat), big)
-        with pytest.raises(ValueError, match=r"2\*\*26"):
-            f(entries(np.zeros((2, 2))), big)
-    p = 67108859  # largest prime below the bound
-    assert is_prime(p) and p < MAX_MODULUS
+    p = 67108859
+    assert is_prime(p) and p < MAX_MODULUS and not any(map(is_prime, range(p + 1, MAX_MODULUS)))
     mat = (rng.integers(0, p, size=(60, 30)) @ rng.integers(0, p, size=(30, 90))) % p
     assert rank_modp(entries(mat), p) == reference_rank(mat.tolist(), p) == 30
+
+
+def test_primality_is_tested_once_per_modulus():
+    p = 67108859
+    is_prime.cache_clear()
+    for _ in range(1000):
+        assert rank_modp(entries([[2]]), p) == 1
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 999)
 
 
 def test_rank_edge_shapes():
@@ -497,10 +499,15 @@ ENTRY_POINTS = {
                                   "--checks", "exact", "--modulus", str(p)])),
     "oracle": (2, lambda p: main(["oracle", "--scroll", "3,3", "--imax", "2",
                                   "--modulus", str(p)])),
+    "oracle --compare": (2, lambda p: main(["oracle", "--compare", "--scroll", "3,3",
+                                            "--imax", "2", "--modulus", str(p)])),
+    # a 2x2 matrix without entries: the rule holds with nothing to reduce
+    "rank_modp of no entries": (2, lambda p: rank_modp(entries(np.zeros((2, 2))), p)),
+    "nullspace_modp of no entries": (2, lambda p: nullspace_modp(entries(np.zeros((2, 2))), p)),
 }
 
 
-@pytest.mark.parametrize("modulus", [4, 1, 0, -7, 2**26 + 15, 10**18 + 3, 2])
+@pytest.mark.parametrize("modulus", [4, 1, 0, -7, 2**26 + 15, 10**18 + 3, 2, 2**31 - 1])
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_every_entry_point_keeps_the_one_modulus_rule(capsys, name, modulus):
     """One rule, one message: a prime p with least <= p < 2**26, where
@@ -509,7 +516,7 @@ def test_every_entry_point_keeps_the_one_modulus_rule(capsys, name, modulus):
     least, call = ENTRY_POINTS[name]
     if modulus == least:  # 2, for linalg and the oracle
         result = call(modulus)
-        if name == "oracle":
+        if name.startswith("oracle"):
             assert result == 0 and capsys.readouterr().err == ""
         return
     start = time.perf_counter()

@@ -1,12 +1,13 @@
+import os
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 
 from scrollres.scrolls import build_scroll
-from scrollres.ring import (adegree, is_standard, normal_form, ring_for,
+from scrollres.ring import (ScrollRing, adegree, is_standard, normal_form, ring_for,
                             standard_monomials)
-from scrollres.series import hilbert_coefficients
+from scrollres.series import betti, hilbert_coefficients
 
 S33 = build_scroll([3, 3])
 S22 = build_scroll([2, 2])
@@ -84,9 +85,11 @@ def test_standard_monomials_small_degrees():
 
 
 def test_standard_monomials_match_filter_oracle():
-    for blocks in [(3, 3), (2, 2), (4, 3), (2, 2, 2)]:
+    cases = [(blocks, 4) for blocks in [(3, 3), (2, 2), (4, 3), (2, 2, 2)]]
+    cases += [(blocks, 6) for blocks in [(6,), (2, 2, 2, 2), (2, 7)]]
+    for blocks, dmax in cases:
         s = build_scroll(blocks)
-        for d in range(0, 5):
+        for d in range(0, dmax + 1):
             fast = standard_monomials(s, d)
             slow = sorted(
                 (m for m in all_monomials(s.n, d) if is_standard(m, s)),
@@ -94,6 +97,26 @@ def test_standard_monomials_match_filter_oracle():
             )
             assert fast == slow
             assert all(ring_for(s).nf_monomial(m) == m for m in fast)
+
+
+def test_rings_are_built_without_the_minors(monkeypatch):
+    """Only standard monomials and the rewriting reference need the
+    minors; resolving and verifying read normal forms off the grading."""
+    import scrollres.ring
+    from scrollres.cli import main
+    from scrollres.resolution import field_resolution
+
+    def boom(spec):
+        raise AssertionError(f"the minors of {spec} were built")
+    monkeypatch.setattr(scrollres.ring, "minor_generators", boom)
+    s45 = build_scroll([4, 5])
+    ScrollRing(s45)
+    assert main(["verify", "--scroll", "4,5", "--steps", "4", "--out", os.devnull]) == 0
+    assert main(["resolve", "--scroll", "4,5", "--steps", "4", "--out", os.devnull]) == 0
+    wide = build_scroll([300, 300])
+    assert field_resolution(wide, 2).ranks == [betti(wide, i) for i in range(3)]
+    with pytest.raises(AssertionError, match=r"minors of \(4,5\)"):
+        ScrollRing(s45).standard_monomials(1)
 
 
 def test_standard_monomials_counts_match_series():
