@@ -1,10 +1,12 @@
 """Betti numbers and explicit minimal free resolutions over rational normal scrolls.
 
 `import scrollres` runs only the numpy-free layer: `scrolls`, `ring` and
-`series`.  `linalg`, `resolution`, `checks` and `oracle`, which import
-numpy, are registered in `sys.modules` as lazy modules that run on their
-first attribute access, and the names re-exported from them are served
-on demand, so the closed forms start without numpy.
+`series`.  `linalg`, `resolution`, `checks` and `oracle` are registered in
+`sys.modules` as lazy modules that run on their first attribute access,
+and the names re-exported from them are served on demand, so the closed
+forms start without them.  Of these only `linalg` and `oracle` import
+numpy when they run; `resolution` and `checks` load it only for F_p work
+and the `resolve` writer, so `verify`'s ring-only checks run without it.
 """
 
 import sys as _sys

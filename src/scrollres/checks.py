@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .linalg import rank_modp, require_prime_modulus
+from . import linalg
+from .primes import require_prime_modulus
 from .resolution import Resolution, SparseMatrixR, _ProductRun, phi, staircase
 from .ring import Element, ring_for
 from .scrolls import FAULT_KINDS, ScrollSpec
@@ -124,7 +125,7 @@ def probe_rank(
     while len(trial_seeds) < trials:
         trial_seeds.append(master.randrange(2**32))
         vals = scroll_point(spec, random.Random(trial_seeds[-1]), modulus)
-        best = max(best, rank_modp(mat.eval_modp(vals, modulus), modulus))
+        best = max(best, linalg.rank_modp(mat.eval_modp(vals, modulus), modulus))
         if claimed is not None and best >= claimed:
             break
     return RankReport(matrix_id, claimed, best, trials, len(trial_seeds),

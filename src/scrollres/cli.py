@@ -20,8 +20,10 @@ import os
 import sys
 
 # the package registers these four lazily: through the module objects,
-# betti, hilbert and faces run without loading them, or numpy
-from . import checks, linalg, oracle, resolution
+# betti, hilbert and faces run without loading them.  Only F_p work and
+# the resolve writer load numpy, so verify's ring-only checks run without it
+from . import checks, oracle, resolution
+from .primes import require_prime_modulus
 from .scrolls import FAULT_KINDS, ScrollSpec, build_scroll
 from .series import betti, face_numbers, hilbert_coefficients, series_json
 
@@ -149,7 +151,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown check {c!r}; choose from {sorted(CHECKS)}")
     if not wanted or len(set(wanted)) < len(wanted):
         raise ValueError(f"--checks must name each check once, got {args.checks!r}")
-    linalg.require_prime_modulus(args.modulus, 3)
+    require_prime_modulus(args.modulus, 3)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     for c in wanted:

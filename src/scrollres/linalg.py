@@ -27,12 +27,12 @@ equal mod p count as equal, and a repeat whose entries come in another
 order is merely reduced again.  The memo keeps only what the caller uses, a
 rank or a kernel's local entries, and nothing is kept between calls.
 
-`require_prime_modulus` is the one modulus rule, for every entry point,
-the CLI's `--modulus` included: a prime p with 2 <= p < MAX_MODULUS =
-2**26 (3 <= p for the rank probes), the range checked before the trial
-division.  Residues are int64 from `SparseMatrixR.eval_modp` to the
-kernel basis, and Python ints inside the elimination, which is exact
-for any modulus; the bound keeps the documented range.
+`require_prime_modulus` is the one modulus rule, for every entry point:
+a prime p with 2 <= p < MAX_MODULUS = 2**26.  It is defined in the
+numpy-free `primes`, and this module re-exports the same objects.
+Residues are int64 from `SparseMatrixR.eval_modp` to the kernel basis,
+and Python ints inside the elimination, which is exact for any modulus;
+the bound keeps the documented range.
 
 The one resource bound is MAX_HELD_ENTRIES.  It refuses a component of
 more entries before it is reduced, an elimination whose fill-in takes
@@ -41,13 +41,12 @@ of more entries before it is evaluated (`SparseMatrixR.eval_modp`).
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-MAX_MODULUS = 2**26
+from .primes import MAX_MODULUS, is_prime, require_prime_modulus  # noqa: F401  (re-exported)
+
 # the most entries one elimination may hold at once, input and fill-in,
 # each a dict slot and a Python int, and the most a ring matrix may have
 # when it is evaluated mod p.  Under a 3 GiB address-space cap, a
@@ -57,22 +56,6 @@ MAX_MODULUS = 2**26
 # two entries over 10 columns (8 M entries) at 2.4 GB; at a 10 M peak the
 # kernel reached 2.75 GB
 MAX_HELD_ENTRIES = 8 * 10**6
-
-
-@lru_cache(maxsize=None)
-def is_prime(q: int) -> bool:
-    """Trial division, memoised: every F_p call tests its modulus again."""
-    return q >= 2 and all(q % f for f in range(2, isqrt(q) + 1))
-
-
-def require_prime_modulus(p: int, least: int = 2) -> None:
-    """Refuse a modulus that is not a prime p with least <= p < MAX_MODULUS.
-
-    The range comes first, so a huge modulus is refused before `is_prime`,
-    whose trial division takes time proportional to its square root.
-    """
-    if not (least <= p < MAX_MODULUS and is_prime(p)):
-        raise ValueError(f"modulus {p} is not a prime p with {least} <= p < 2**26")
 
 
 class Entries(NamedTuple):

@@ -68,6 +68,12 @@ Element's piece for all its steps, so blocks (2,2) pay for them once.
 entry of `items_sorted()` on its own, and the writer's output must equal
 theirs byte for byte.
 
+numpy.  The module runs without it.  Only F_p work (`eval_modp` and
+`require_evaluable`, which reach `linalg` through its lazily registered
+module) and the writer (`_arrays`, `_keyed`, `_entry_writer`) load it, so
+the product, minimality and the d∘d check load neither numpy nor
+`linalg`: the join reads its entries as plain lists (`_triples`).
+
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
 u stack to the left edge and the v stack to the right edge of the band,
@@ -84,9 +90,7 @@ from functools import lru_cache, wraps
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-import numpy as np
-
-from .linalg import Entries, require_held_entries
+from . import linalg
 from .scrolls import ScrollSpec, scroll_matrix
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
@@ -167,10 +171,12 @@ class SparseMatrixR:
         return _ProductRun().product(((self, other),))
 
     def __neg__(self) -> "SparseMatrixR":
-        """-self, sharing structure: each distinct node is negated once."""
+        """-self, sharing structure: each distinct node and each Element object is negated once."""
+        negated = _by_id(_negated)
+
         def leaf(m):
             return _leaf(m.ring, m.rows, m.cols,
-                         {pos: _negated(e) for pos, e in m.entries.items()})
+                         {pos: negated(e) for pos, e in m.entries.items()})
 
         def node(m, parts):
             return _grid(m.ring, _sizes(m.row_starts, m.rows), _sizes(m.col_starts, m.cols),
@@ -193,9 +199,9 @@ class SparseMatrixR:
     def require_evaluable(self) -> None:
         """Refuse a matrix of more than MAX_HELD_ENTRIES entries; visits
         each distinct node once and builds no array."""
-        require_held_entries(len(self.entries), (self.rows, self.cols), "evaluating")
+        linalg.require_held_entries(len(self.entries), (self.rows, self.cols), "evaluating")
 
-    def eval_modp(self, values: list[int], p: int) -> Entries:
+    def eval_modp(self, values: list[int], p: int) -> linalg.Entries:
         """The entries' images at x_i = values[i-1] mod p, one per entry.
 
         Each distinct node is visited, and each `Element` object
@@ -204,7 +210,7 @@ class SparseMatrixR:
         """
         self.require_evaluable()
         rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), {})
-        return Entries((self.rows, self.cols), rows, cols, vals)
+        return linalg.Entries((self.rows, self.cols), rows, cols, vals)
 
     def to_json_obj(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -306,13 +312,9 @@ def _arrays(mat: SparseMatrixR, fn, memo: dict, cached: dict | None = None,
     call if none is given); a grid concatenates its blocks' arrays, each
     distinct node's built once per memo and `cached` (see `_per_node`).
     """
-    images = {} if images is None else images
+    import numpy as np
 
-    def image(e):
-        key = id(e)
-        if key not in images:
-            images[key] = fn(e)
-        return images[key]
+    image = _by_id(fn, images)
 
     def leaf(m):
         flat = np.fromiter(chain.from_iterable(m.entries), np.intp, 2 * len(m.entries))
@@ -327,6 +329,41 @@ def _arrays(mat: SparseMatrixR, fn, memo: dict, cached: dict | None = None,
     return _per_node(mat, leaf, node, memo, cached)
 
 
+def _triples(mat: SparseMatrixR, fn) -> list[tuple[int, int, int]]:
+    """(row, col, fn(entry)) for each entry of mat, in iteration order: `_arrays` as plain lists.
+
+    fn runs once per distinct Element object, and each distinct node's
+    list is built once.
+    """
+    image = _by_id(fn)
+
+    def leaf(m):
+        return [(r, c, image(e)) for (r, c), e in m.entries.items()]
+
+    def node(m, parts):
+        out = []
+        for (i, j), part in zip(m.blocks, parts):
+            r0, c0 = m.row_starts[i], m.col_starts[j]
+            out += [(r + r0, c + c0, v) for r, c, v in part]
+        return out
+    return _per_node(mat, leaf, node, {})
+
+
+def _by_id(fn, images: dict | None = None):
+    """fn memoised by its argument's id in images, a fresh dict if none is given.
+
+    The arguments must outlive the memo, as a matrix's entries outlive one call.
+    """
+    images = {} if images is None else images
+
+    def image(e):
+        key = id(e)
+        if key not in images:
+            images[key] = fn(e)
+        return images[key]
+    return image
+
+
 class _ProductRun:
     """The memos of one `@` or one check: value ids, value-pair and node products.
 
@@ -336,7 +373,7 @@ class _ProductRun:
     nodes only: those live as long as their caches and recur from step
     to step, while a step's own grids, and their products, are not
     looked up again.  A check makes a few small joins on every 2-block
-    scroll, so the joins are loops over Python lists, not numpy.
+    scroll, so the joins are loops over Python lists (`_triples`), not numpy.
     """
 
     def __init__(self):
@@ -397,12 +434,11 @@ class _ProductRun:
         """
         sums: dict[tuple[int, int], dict] = {}
         for lhs, rhs in terms:
-            a_row, a_mid, a_val = (x.tolist() for x in _arrays(lhs, self.intern, {}))
-            b_mid, b_col, b_val = (x.tolist() for x in _arrays(rhs, self.intern, {}))
+            lefts = _triples(lhs, self.intern)
             by_mid: dict[int, list] = {}
-            for mid, col, right in zip(b_mid, b_col, b_val):
+            for mid, col, right in _triples(rhs, self.intern):
                 by_mid.setdefault(mid, []).append((col, right))
-            for row, mid, left in zip(a_row, a_mid, a_val):
+            for row, mid, left in lefts:
                 for col, right in by_mid.get(mid, ()):
                     acc = sums.setdefault((row, col), {})
                     for mono, coeff in self.expansion(left, right):
@@ -438,6 +474,8 @@ def _entry_writer(pieces: tuple, text):
     range and each distinct column numeral of the chunk is formatted once,
     and numpy gathers the pieces for one join per chunk.
     """
+    import numpy as np
+
     sep, row, entry = pieces
     cached, codes, texts = {}, {}, []  # leaf arrays, {id(Element): code}, code -> entry piece
 
@@ -474,13 +512,15 @@ def _entry_writer(pieces: tuple, text):
     return write
 
 
-def _keyed(mat: SparseMatrixR, fn, cached: dict, images: dict) -> tuple[np.ndarray, np.ndarray]:
+def _keyed(mat: SparseMatrixR, fn, cached: dict, images: dict) -> tuple:
     """Position keys row * mat.cols + col and intp codes fn(entry) of mat's entries, unordered.
 
     mat's own grids are walked, not concatenated: each cached node and
     fresh leaf below them gives its arrays (`_arrays`, with the memos
     `cached` and `images`), and these go straight into the result.
     """
+    import numpy as np
+
     if mat.rows * mat.cols > np.iinfo(np.intp).max:
         raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
     memo: dict = {}

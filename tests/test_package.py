@@ -1,9 +1,9 @@
 """What `import scrollres` runs, and what the package exports.
 
 The closed forms (betti, hilbert, faces) live in the numpy-free layer;
-linalg, resolution, checks and oracle run on first use.  Which modules a
-process has loaded is only visible from a fresh interpreter, so those
-tests run one.
+linalg, resolution, checks and oracle run on first use, and only F_p work
+and the resolve writer load numpy.  Which modules a process has loaded is
+only visible from a fresh interpreter, so those tests run one.
 """
 import json
 import os
@@ -35,7 +35,7 @@ PUBLIC = [
 ]
 
 # runs each argv through the CLI in a fresh interpreter and reports the
-# exit codes and whether numpy was loaded
+# exit codes and whether numpy was loaded; run_fresh adds the stderr
 PROBE = """
 import contextlib, io, json, sys
 import scrollres, scrollres.cli
@@ -52,22 +52,35 @@ def run_fresh(argvs):
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return {**json.loads(proc.stdout), "stderr": proc.stderr}
 
 
 def test_closed_forms_load_no_numpy():
     argvs = [[cmd, "--scroll", "3,3", "--format", fmt]
              for cmd in ("betti", "hilbert", "faces") for fmt in ("text", "json")]
-    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False}
+    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False, "stderr": ""}
+
+
+def test_ring_only_checks_load_no_numpy():
+    """verify's checks without F_p work, a planted fault and a refused modulus."""
+    verify = ["verify", "--scroll", "3,3", "--steps", "3"]
+    argvs = [verify + ["--checks", "complex,minimal,minors"],
+             verify + ["--checks", "groebner"],
+             verify + ["--inject-fault", "unit_insert", "--checks", "complex,minimal"],
+             verify + ["--checks", "complex", "--modulus", "4"]]
+    assert run_fresh(argvs) == {
+        "rcs": [0, 0, 1, 2], "numpy": False,
+        "stderr": "error: modulus 4 is not a prime p with 3 <= p < 2**26\n"}
 
 
 @pytest.mark.parametrize("argv", [
     ["resolve", "--scroll", "3,3", "--steps", "2"],
-    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "complex"],
+    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
     ["oracle", "--scroll", "3,3", "--imax", "2"],
+    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"],
 ])
 def test_finite_field_subcommands_load_numpy(argv):
-    assert run_fresh([argv]) == {"rcs": [0], "numpy": True}
+    assert run_fresh([argv]) == {"rcs": [0], "numpy": True, "stderr": ""}
 
 
 def test_public_api_is_unchanged():

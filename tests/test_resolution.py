@@ -11,7 +11,8 @@ from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
                               check_phi_ranks, inject_fault, scroll_point)
 from scrollres.ring import ring_for
 from scrollres.resolution import (MAX_FREE_RANK, MAX_STEPS, Resolution, SparseMatrixR,
-                                  _grid, _phi, _sizes, alpha, direct_sum, field_resolution,
+                                  _arrays, _grid, _phi, _ProductRun, _sizes, _triples,
+                                  alpha, direct_sum, field_resolution,
                                   phi, phi0, phi1, phi2, resolution_of, staircase,
                                   u_block, v_block)
 from scrollres.scrolls import build_scroll
@@ -871,6 +872,23 @@ def test_negated_entries_share_objects():
     assert len(objects) <= 2 * len(values)
 
 
+@pytest.mark.parametrize("build", [lambda: staircase(S45, 10), lambda: phi(S45, 4),
+                                   lambda: inject_fault(field_resolution(S45, 4), "sign_flip")
+                                   .steps[2]], ids=["staircase", "phi4", "fault_copy"])
+def test_negation_negates_each_element_object_once(monkeypatch, build):
+    mat = build()
+    objects = {id(e) for e in mat.entries.values()}
+    calls = []
+
+    def counted(e):
+        calls.append(id(e))
+        return -e
+    monkeypatch.setattr(resolution, "_negated", counted)
+    neg = -mat
+    assert sorted(calls) == sorted(objects) and len(objects) < len(mat.entries)
+    assert dict(neg.entries.items()) == {pos: -e for pos, e in mat.entries.items()}
+
+
 def assemble_reference(mat):
     """mat's entries copied block by block into one dict, at their cells' starts."""
     if mat.blocks is None:
@@ -886,8 +904,9 @@ def assemble_reference(mat):
 def test_piece_view_and_arrays_match_the_copy(blocks):
     spec = build_scroll(blocks)
     ring = ring_for(spec)
-    mats = field_resolution(spec, 5).steps + [phi(spec, i) for i in range(5)] \
-        + [alpha(spec, i) for i in range(4)]
+    res = field_resolution(spec, 5)
+    mats = res.steps + [phi(spec, i) for i in range(5)] + [alpha(spec, i) for i in range(4)] \
+        + [inject_fault(res, kind).steps[2] for kind in FAULT_KINDS]  # dict-backed copies
     p = 32003
     vals = scroll_point(spec, random.Random(len(blocks)), p)
     for mat in mats:
@@ -909,6 +928,10 @@ def test_piece_view_and_arrays_match_the_copy(blocks):
         a = mat.eval_modp(vals, p)
         assert sorted(zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist())) == \
             sorted((r, c, e.eval_modp(vals, p)) for (r, c), e in ref.items())
+        # the join's list reader, with the join's own value ids
+        run = _ProductRun()
+        assert _triples(mat, run.intern) == \
+            list(zip(*(x.tolist() for x in _arrays(mat, run.intern, {}))))
 
 
 def test_piece_stored_entries_are_read_only():
