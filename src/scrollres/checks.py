@@ -329,7 +329,7 @@ def _triangular_determinant(mat: SparseMatrixR, rows: list[int], cols: list[int]
     for (r, c), e in mat.entries.items():
         if r in row_entries and c in colset:
             row_entries[r][c] = e
-    det = mat.ring.one()
+    picked = []
     sign = 1
     while live_rows:
         pick = None
@@ -345,12 +345,12 @@ def _triangular_determinant(mat: SparseMatrixR, rows: list[int], cols: list[int]
         ri, r, c = pick
         ci = live_cols.index(c)
         sign *= (-1) ** (ri + ci)
-        det = det * row_entries[r][c]
+        picked.append(row_entries[r][c])
         live_rows.pop(ri)
         live_cols.pop(ci)
         colset.discard(c)
         del row_entries[r]
-    return det.scalar_mul(sign)
+    return mat.ring.product(picked, sign)
 
 
 def _phi1_recipe(spec: ScrollSpec, i: int) -> tuple[list[int], list[int]]:

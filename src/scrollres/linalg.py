@@ -29,7 +29,7 @@ rank or a kernel's local entries, and nothing is kept between calls.
 
 `require_prime_modulus` is the one modulus rule, for every entry point:
 a prime p with 2 <= p < MAX_MODULUS = 2**26.  It is defined in the
-numpy-free `primes`, and this module re-exports the same objects.
+numpy-free `primes`.
 Residues are int64 from `SparseMatrixR.eval_modp` to the kernel basis,
 and Python ints inside the elimination, which is exact for any modulus;
 the bound keeps the documented range.
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .primes import MAX_MODULUS, is_prime, require_prime_modulus  # noqa: F401  (re-exported)
+from .primes import require_prime_modulus
 
 # the most entries one elimination may hold at once, input and fill-in,
 # each a dict slot and a Python int, and the most a ring matrix may have

@@ -34,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Entries, nullspace_modp, rank_modp, require_prime_modulus
+from .linalg import Entries, nullspace_modp, rank_modp
+from .primes import require_prime_modulus
 from .ring import ring_for
 from .scrolls import ScrollSpec
 from .series import betti

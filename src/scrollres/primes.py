@@ -4,7 +4,7 @@
 `--modulus` included: a prime p with 2 <= p < MAX_MODULUS = 2**26 (3 <= p
 for the rank probes), the range checked before the trial division.  It
 lives here, not in `linalg`, so that a command refuses a bad modulus
-without loading numpy; `linalg` re-exports these same objects.
+without loading numpy.
 """
 from __future__ import annotations
 

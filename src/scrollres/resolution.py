@@ -17,7 +17,8 @@ inclusion J -> I1 (+) I2, shifted by the augmentation.
 Storage.  A matrix is either a leaf, whose entries are a dict
 {(row, col): Element}, or a grid: row block starts, column block starts
 and a {(i, j): block} dict, each block filling its cell and shared, not
-copied (`_grid`).  phi_i for i >= 2, alpha_i for i >= 1, the ideal steps
+copied (`_grid`).  An entry is its ring's one object of its value, and
+its `code` is its index in the ring's palette (`ring.ScrollRing`).  phi_i for i >= 2, alpha_i for i >= 1, the ideal steps
 and the cone steps are grids over shared nodes (the cached phi and
 -phi matrices, the u/v blocks, the scalar identities), so a differential
 is a tree with few distinct nodes although its entries grow like
@@ -34,8 +35,9 @@ blocks of the next, at every level down to phi1.  A grid's
 `entries` is a read-only view that lists entries in block order; the
 consumers on the CLI's paths (the product, `eval_modp`, the writer,
 minimality) visit each distinct node once per call instead: `_arrays`
-gives a node's coordinate and value arrays, concatenated from its
-blocks' with their offsets.
+gives a node's coordinate and code arrays, concatenated from its
+blocks' with their offsets, and `eval_modp` evaluates each code they
+hold once.
 
 Products.  `A @ B` is block multiplication: where both factors are grids
 and A's column starts are B's row starts, block (i, k) of the product is
@@ -45,8 +47,8 @@ to products at the phi1 @ phi2 level, and so does each cone coupling
 phi_j (s * I) + (s * I)(-phi_j).  A leaf or blocks that do not line up
 give one join of the pairs' entries (`_ProductRun.join`), a plain loop:
 the right factor's entries are bucketed by row, and each contribution
-adds the terms of its value pair's product, multiplied once, to its
-position's sums.  The memos of node products and value-pair
+adds the terms of its code pair's product, multiplied once, to its
+position's sums.  The memos of node products and code-pair
 products live in one `_ProductRun`: each `@` makes its own, and
 `check_complex` holds one for the whole check, so a pair of the shared
 nodes that recurs from step to step is multiplied once.  Only products
@@ -57,16 +59,16 @@ check of any length makes the same joins, all in its first five
 products (the largest on (4,5) holds 686 entries over both factors).
 
 Writing.  `write_json` and `write_text` stream one step at a time.  A
-step's entries come as position keys and entry codes, gathered from its
+step's entries come as position keys and codes, gathered from its
 cached nodes and fresh leaves (`_keyed`) and sorted once.  Each entry is
 written as three pieces: a row piece and a column numeral, formatted once
 per row and per distinct column of a chunk, and an entry piece, formatted
-once per distinct Element; numpy gathers them for one join per chunk
-(`_entry_writer`).  One write keeps the cached leaves' arrays and each
-Element's piece for all its steps, so blocks (2,2) pay for them once.
-`to_json_obj` and `to_text_lines` share none of this: they format each
-entry of `items_sorted()` on its own, and the writer's output must equal
-theirs byte for byte.
+once per code the steps hold, never for the rest of the palette; numpy
+gathers them for one join per chunk (`_entry_writer`).  One write keeps
+the cached leaves' arrays and each code's piece for all its steps, so
+blocks (2,2) pay for them once.  `to_json_obj` and `to_text_lines`
+share none of this: they format each entry of `items_sorted()` on its
+own, and the writer's output must equal theirs byte for byte.
 
 numpy.  The module runs without it.  Only F_p work (`eval_modp` and
 `require_evaluable`, which reach `linalg` through its lazily registered
@@ -171,12 +173,9 @@ class SparseMatrixR:
         return _ProductRun().product(((self, other),))
 
     def __neg__(self) -> "SparseMatrixR":
-        """-self, sharing structure: each distinct node and each Element object is negated once."""
-        negated = _by_id(_negated)
-
+        """-self, sharing structure: each distinct node is negated once (values: `Element.__neg__`)."""
         def leaf(m):
-            return _leaf(m.ring, m.rows, m.cols,
-                         {pos: negated(e) for pos, e in m.entries.items()})
+            return _leaf(m.ring, m.rows, m.cols, {pos: -e for pos, e in m.entries.items()})
 
         def node(m, parts):
             return _grid(m.ring, _sizes(m.row_starts, m.rows), _sizes(m.col_starts, m.cols),
@@ -204,13 +203,19 @@ class SparseMatrixR:
     def eval_modp(self, values: list[int], p: int) -> linalg.Entries:
         """The entries' images at x_i = values[i-1] mod p, one per entry.
 
-        Each distinct node is visited, and each `Element` object
-        evaluated, once.  A matrix of more than MAX_HELD_ENTRIES entries
-        is refused first (`require_evaluable`).
+        Each distinct node is visited once, and each code the matrix
+        holds is evaluated once, then gathered: the rest of the ring's
+        palette is not evaluated.  A matrix of more than MAX_HELD_ENTRIES
+        entries is refused first (`require_evaluable`).
         """
+        import numpy as np
+
         self.require_evaluable()
-        rows, cols, vals = _arrays(self, lambda e: e.eval_modp(values, p), {})
-        return linalg.Entries((self.rows, self.cols), rows, cols, vals)
+        rows, cols, codes = _arrays(self, {})
+        image = np.zeros(len(self.ring.palette), np.int64)
+        for code in _held(codes):
+            image[code] = self.ring.palette[code].eval_modp(values, p)
+        return linalg.Entries((self.rows, self.cols), rows, cols, image[codes])
 
     def to_json_obj(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -304,22 +309,18 @@ def _per_node(mat: SparseMatrixR, leaf, node, memo: dict, cached: dict | None = 
     return table[key]
 
 
-def _arrays(mat: SparseMatrixR, fn, memo: dict, cached: dict | None = None,
-            images: dict | None = None):
-    """(rows, cols, fn(entry)) intp arrays of mat's entries, in iteration order.
+def _arrays(mat: SparseMatrixR, memo: dict, cached: dict | None = None):
+    """(rows, cols, codes) intp arrays of mat's entries, in iteration order.
 
-    fn runs once per distinct Element object per images memo (one per
-    call if none is given); a grid concatenates its blocks' arrays, each
-    distinct node's built once per memo and `cached` (see `_per_node`).
+    A grid concatenates its blocks' arrays, each distinct node's built
+    once per memo and `cached` (see `_per_node`).
     """
     import numpy as np
-
-    image = _by_id(fn, images)
 
     def leaf(m):
         flat = np.fromiter(chain.from_iterable(m.entries), np.intp, 2 * len(m.entries))
         rows, cols = flat.reshape(-1, 2).T
-        return rows, cols, np.array([image(e) for e in m.entries.values()], dtype=np.intp)
+        return rows, cols, np.fromiter((e.code for e in m.entries.values()), np.intp, len(m.entries))
 
     def node(m, parts):
         offsets = [(m.row_starts[i], m.col_starts[j]) for i, j in m.blocks]
@@ -329,16 +330,13 @@ def _arrays(mat: SparseMatrixR, fn, memo: dict, cached: dict | None = None,
     return _per_node(mat, leaf, node, memo, cached)
 
 
-def _triples(mat: SparseMatrixR, fn) -> list[tuple[int, int, int]]:
-    """(row, col, fn(entry)) for each entry of mat, in iteration order: `_arrays` as plain lists.
+def _triples(mat: SparseMatrixR) -> list[tuple[int, int, int]]:
+    """(row, col, code) for each entry of mat, in iteration order: `_arrays` as plain lists.
 
-    fn runs once per distinct Element object, and each distinct node's
-    list is built once.
+    Each distinct node's list is built once.
     """
-    image = _by_id(fn)
-
     def leaf(m):
-        return [(r, c, image(e)) for (r, c), e in m.entries.items()]
+        return [(r, c, e.code) for (r, c), e in m.entries.items()]
 
     def node(m, parts):
         out = []
@@ -349,45 +347,29 @@ def _triples(mat: SparseMatrixR, fn) -> list[tuple[int, int, int]]:
     return _per_node(mat, leaf, node, {})
 
 
-def _by_id(fn, images: dict | None = None):
-    """fn memoised by its argument's id in images, a fresh dict if none is given.
+def _held(codes) -> list[int]:
+    """The distinct codes of an intp array, ascending, counted without a sort."""
+    import numpy as np
 
-    The arguments must outlive the memo, as a matrix's entries outlive one call.
-    """
-    images = {} if images is None else images
-
-    def image(e):
-        key = id(e)
-        if key not in images:
-            images[key] = fn(e)
-        return images[key]
-    return image
+    return np.flatnonzero(np.bincount(codes)).tolist()
 
 
 class _ProductRun:
-    """The memos of one `@` or one check: value ids, value-pair and node products.
+    """The memos of one `@` or one check, over one ring: code-pair and node products.
 
-    Equal entry values share one id (`intern`), so each distinct pair of
-    values is multiplied and normal-formed once per run (`expansion`).
-    The node products are keyed by object ids and keep pairs of cached
-    nodes only: those live as long as their caches and recur from step
-    to step, while a step's own grids, and their products, are not
-    looked up again.  A check makes a few small joins on every 2-block
-    scroll, so the joins are loops over Python lists (`_triples`), not numpy.
+    The join reads entries as codes into the ring's palette, so each
+    distinct pair of values is multiplied and normal-formed once per run
+    (`expansion`).  The node products are keyed by object ids and keep
+    pairs of cached nodes only: those live as long as their caches and
+    recur from step to step, while a step's own grids, and their
+    products, are not looked up again.  A check makes a few small joins
+    on every 2-block scroll, so the joins are loops over Python lists
+    (`_triples`), not numpy.
     """
 
     def __init__(self):
-        self.value_ids: dict[frozenset, int] = {}
-        self.values: list[Element] = []
         self.expansions: dict[tuple[int, int], tuple] = {}
         self.products: dict[tuple, SparseMatrixR] = {}
-
-    def intern(self, e: Element) -> int:
-        key = frozenset(e.terms.items())
-        if key not in self.value_ids:
-            self.value_ids[key] = len(self.values)
-            self.values.append(e)
-        return self.value_ids[key]
 
     def product(self, terms: tuple) -> SparseMatrixR:
         """The sum of lhs @ rhs over the (lhs, rhs) pairs in terms; once per run if all are cached.
@@ -423,34 +405,33 @@ class _ProductRun:
         return out
 
     def join(self, n_rows: int, n_cols: int, terms: list) -> SparseMatrixR:
-        """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a loop over value ids.
+        """The leaf sum of lhs @ rhs over (lhs, rhs) in terms, by a loop over codes.
 
-        Entries get value ids, the right factor's entries are bucketed by
-        row, and each contribution (row, col, left value, right value)
-        adds the terms of its value pair's product to its position's
-        {monomial: coeff} sums.  The products hold standard monomials
-        only, so `ring.element` of a nonzero sum just drops its zero
-        coefficients and turns whole Fractions into ints.
+        The right factor's entries are bucketed by row, and each
+        contribution (row, col, left code, right code) adds the terms of
+        its value pair's product to its position's {monomial: coeff}
+        sums.  The products hold standard monomials only, so
+        `ring.element` of a nonzero sum just drops its zero coefficients
+        and turns whole Fractions into ints.
         """
+        ring = terms[0][0].ring
         sums: dict[tuple[int, int], dict] = {}
         for lhs, rhs in terms:
-            lefts = _triples(lhs, self.intern)
             by_mid: dict[int, list] = {}
-            for mid, col, right in _triples(rhs, self.intern):
+            for mid, col, right in _triples(rhs):
                 by_mid.setdefault(mid, []).append((col, right))
-            for row, mid, left in lefts:
+            for row, mid, left in _triples(lhs):
                 for col, right in by_mid.get(mid, ()):
                     acc = sums.setdefault((row, col), {})
-                    for mono, coeff in self.expansion(left, right):
+                    for mono, coeff in self.expansion(ring, left, right):
                         acc[mono] = acc.get(mono, 0) + coeff
-        ring = terms[0][0].ring
         return _leaf(ring, n_rows, n_cols,
                      {pos: ring.element(acc) for pos, acc in sums.items() if any(acc.values())})
 
-    def expansion(self, i: int, j: int) -> tuple:
-        """The (monomial, coeff) terms of values[i] * values[j], multiplied once."""
+    def expansion(self, ring: ScrollRing, i: int, j: int) -> tuple:
+        """The (monomial, coeff) terms of the product of codes i and j, multiplied once per run."""
         if (i, j) not in self.expansions:
-            self.expansions[(i, j)] = tuple((self.values[i] * self.values[j]).terms.items())
+            self.expansions[(i, j)] = tuple((ring.palette[i] * ring.palette[j]).terms.items())
         return self.expansions[(i, j)]
 
 
@@ -468,7 +449,7 @@ def _entry_writer(pieces: tuple, text):
     """write(fh, step): write step's entries in (row, col) order as pieces; return their number.
 
     Each entry is three pieces.  Its entry piece is formatted, from
-    text(entry), once per distinct Element object, and each cached leaf's
+    text(entry), once per code a step holds, and each cached leaf's
     arrays are built once, over all the steps one writer writes.  Rows
     come sorted, so a chunk covers a range of rows: each row piece of the
     range and each distinct column numeral of the chunk is formatted once,
@@ -477,22 +458,22 @@ def _entry_writer(pieces: tuple, text):
     import numpy as np
 
     sep, row, entry = pieces
-    cached, codes, texts = {}, {}, []  # leaf arrays, {id(Element): code}, code -> entry piece
-
-    def code(e) -> int:
-        texts.append(entry % text(e))
-        return len(texts) - 1
+    cached, texts = {}, []  # cached leaves' arrays; code -> entry piece, None until a step holds it
 
     def write(fh, step: SparseMatrixR) -> int:
-        keys, ids = _keyed(step, code, cached, codes)
+        keys, codes = _keyed(step, cached)
+        palette = step.ring.palette
+        texts.extend([None] * (len(palette) - len(texts)))
+        for code in _held(codes):
+            texts[code] = texts[code] or entry % text(palette[code])
         order = np.argsort(keys)
         pieces = np.array(texts, dtype=object)
         for lo in range(0, order.size, _WRITE_CHUNK):
-            fh.write(joined(keys, ids, pieces, order[lo:lo + _WRITE_CHUNK], step.cols, lo == 0))
+            fh.write(joined(keys, codes, pieces, order[lo:lo + _WRITE_CHUNK], step.cols, lo == 0))
         return order.size
 
-    def joined(keys, ids, pieces, at, width: int, first: bool) -> str:
-        """The entries at positions `at` of keys and ids; the first of a step has no separator."""
+    def joined(keys, codes, pieces, at, width: int, first: bool) -> str:
+        """The entries at positions `at` of keys and codes; the first of a step has no separator."""
         r, c = np.divmod(keys[at], width)
         r0, c0 = int(r[0]), int(c.min())
         seen = np.zeros(int(c.max()) - c0 + 1, dtype=bool)
@@ -503,7 +484,7 @@ def _entry_writer(pieces: tuple, text):
         index = np.empty((at.size, 3), dtype=np.intp)
         index[:, 0] = r + (pieces.size - r0)
         index[:, 1] = (np.cumsum(seen) + (pieces.size + len(heads) - 1))[c - c0]
-        index[:, 2] = ids[at]
+        index[:, 2] = codes[at]
         table = np.concatenate([pieces, np.array(heads + numerals, dtype=object)])
         out = table[index.ravel()].tolist()
         if first:
@@ -512,19 +493,19 @@ def _entry_writer(pieces: tuple, text):
     return write
 
 
-def _keyed(mat: SparseMatrixR, fn, cached: dict, images: dict) -> tuple:
-    """Position keys row * mat.cols + col and intp codes fn(entry) of mat's entries, unordered.
+def _keyed(mat: SparseMatrixR, cached: dict) -> tuple:
+    """Position keys row * mat.cols + col and intp codes of mat's entries, unordered.
 
     mat's own grids are walked, not concatenated: each cached node and
-    fresh leaf below them gives its arrays (`_arrays`, with the memos
-    `cached` and `images`), and these go straight into the result.
+    fresh leaf below them gives its arrays (`_arrays`, with the memo
+    `cached`), and these go straight into the result.
     """
     import numpy as np
 
     if mat.rows * mat.cols > np.iinfo(np.intp).max:
         raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
     memo: dict = {}
-    parts = [(_arrays(node, fn, memo, cached, images), r0 * mat.cols + c0)
+    parts = [(_arrays(node, memo, cached), r0 * mat.cols + c0)
              for node, r0, c0 in _cached_parts(mat, 0, 0)]
     keys = np.empty(sum(vals.size for (_, _, vals), _ in parts), np.intp)
     at = 0
@@ -546,12 +527,6 @@ def _cached_parts(mat: SparseMatrixR, r0: int, c0: int):
     else:
         for (i, j), part in mat.blocks.items():
             yield from _cached_parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
-
-
-@lru_cache(maxsize=None)
-def _negated(e: Element) -> Element:
-    """-e, one object per distinct value, so negated entries share it."""
-    return -e
 
 
 def _shared(build):

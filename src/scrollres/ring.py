@@ -17,6 +17,15 @@ rewrites with the minors as an independent reference for `nf_monomial`.
 
 Coefficients are exact Python ints or Fractions.  F_p is reached only
 through `Element.eval_modp`, which evaluates an element at a point.
+
+A ring makes every `Element` through its palette, so it holds one object
+per value: `ring.palette[e.code] is e`, and equal values made on the same
+ring are the same object.  The palette grows only with the distinct
+values made on that ring, and `ring_for` shares one ring per scroll with
+the whole process, so a consumer reads the codes a matrix holds, never
+the whole palette, and a long product is made as one Element
+(`ScrollRing.product`), not as a chain of `*` that would keep each
+partial product.
 """
 from __future__ import annotations
 
@@ -51,6 +60,9 @@ class ScrollRing:
         self.n = spec.n
         self._acols = tuple(zip(*toric_matrix(spec)))
         self._unit = (0,) * self.n
+        self.palette: list[Element] = []  # code -> the ring's one Element of that value
+        self._codes: dict[frozenset, int] = {}  # the value's terms -> its code
+        self._negations: dict[int, Element] = {}  # code -> the negated value
 
     # -- monomial level -------------------------------------------------
 
@@ -151,10 +163,35 @@ class ScrollRing:
 
     # -- element factory -------------------------------------------------
 
+    def _value(self, terms: dict) -> "Element":
+        """The ring's one Element with these {standard monomial: nonzero coeff} terms."""
+        key = frozenset(terms.items())
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.palette)
+            self.palette.append(Element(self, terms, code))
+        return self.palette[code]
+
     def element(self, raw: dict) -> "Element":
         """Normal form of an arbitrary monomial->coefficient mapping."""
+        return self._value(self._normal(raw.items()))
+
+    def product(self, factors, c=1) -> "Element":
+        """c times the product of factors, made as one Element.
+
+        The partial products stay {monomial: coeff} dicts, so, unlike a
+        chain of `*`, they never enter the palette.
+        """
+        terms = self._normal([(self._unit, c)])
+        for f in factors:
+            terms = self._normal((mono_mul(a, b), x * y)
+                                 for a, x in terms.items() for b, y in f.terms.items())
+        return self._value(terms)
+
+    def _normal(self, pairs) -> dict:
+        """{standard monomial: nonzero coeff} of the sum of (monomial, coeff) pairs."""
         terms: dict[Monomial, object] = {}
-        for mono, c in raw.items():
+        for mono, c in pairs:
             if not c:
                 continue
             m = self.nf_monomial(tuple(mono))
@@ -166,20 +203,20 @@ class ScrollRing:
         for m, c in terms.items():
             if isinstance(c, Fraction) and c.denominator == 1:
                 terms[m] = int(c)
-        return Element(self, terms)
+        return terms
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return self._value({})
 
     def one(self) -> "Element":
-        return Element(self, {self._unit: 1})
+        return self._value({self._unit: 1})
 
     @lru_cache(maxsize=None)
     def var_elem(self, flat: int, sign: int = 1) -> "Element":
         """+-x_flat as a ring element (flat is 1-based)."""
         e = [0] * self.n
         e[flat - 1] = 1
-        return Element(self, {tuple(e): sign})
+        return self._value({tuple(e): sign})
 
     def monomial_elem(self, pairs, sign: int = 1) -> "Element":
         """Signed monomial from (flat index, exponent) pairs."""
@@ -192,15 +229,17 @@ class ScrollRing:
 class Element:
     """A ring element stored in normal form: standard monomials -> coeffs.
 
-    `terms` is a read-only view, because cached matrices and `var_elem`
-    hand the same Element to every caller.
+    Only its ring makes one (`ScrollRing._value`), one object per value
+    per ring, and `code` is its index in `ring.palette`.  `terms` is a
+    read-only view, because every caller of that value shares the object.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "code")
 
-    def __init__(self, ring: ScrollRing, terms: dict):
+    def __init__(self, ring: ScrollRing, terms: dict, code: int):
         self.ring = ring
         self.terms = MappingProxyType(terms)
+        self.code = code
 
     def _check(self, other: "Element") -> None:
         if self.ring.spec != other.ring.spec:
@@ -229,29 +268,26 @@ class Element:
                 terms[m] = acc
             elif m in terms:
                 del terms[m]
-        return Element(self.ring, terms)
+        return self.ring._value(terms)
 
     def __neg__(self) -> "Element":
-        return Element(self.ring, {m: -c for m, c in self.terms.items()})
+        """-self, kept by code on the ring, so each value is negated once per ring."""
+        negations = self.ring._negations
+        if self.code not in negations:
+            negations[self.code] = self.ring._value({m: -c for m, c in self.terms.items()})
+        return negations[self.code]
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def scalar_mul(self, c) -> "Element":
-        if not c:
-            return Element(self.ring, {})
-        return Element(self.ring, {m: x * c for m, x in self.terms.items()})
+        return self.ring.product((self,), c)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         self._check(other)
-        raw: dict[Monomial, object] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                raw[m] = raw.get(m, 0) + ca * cb
-        return self.ring.element(raw)
+        return self.ring.product((self, other))
 
     __rmul__ = __mul__
 

@@ -197,6 +197,23 @@ def test_minor_certificates_all_variables():
             assert cert.status != "failed", (i, cert.readings)
 
 
+def test_minor_certificates_keep_no_partial_product_in_the_palette():
+    """The ring keeps every value made on it for the life of the process.
+
+    A determinant is made as one Element (`ScrollRing.product`), so the
+    palette grows by at most the determinants tried and the matrices'
+    own +-x_v; a chain of `*` would keep each of phi2's ~(n-3)^2 partial
+    products as well.
+    """
+    spec = build_scroll([7, 7])
+    ring = ring_for(spec)
+    before = len(ring.palette)
+    reports = minor_reports(spec, 0)
+    tried = sum(len(r["details"]["readings"]) for r in reports)
+    assert all(r["verdict"] == "pass" for r in reports)
+    assert len(ring.palette) - before <= tried + 2 * spec.n
+
+
 def test_minor_certificate_rejects_bad_input():
     with pytest.raises(ValueError):
         minor_certificate(S33, "phi1", 0)

@@ -7,9 +7,9 @@ import pytest
 from scrollres import linalg
 from scrollres.checks import probe_rank, scroll_point
 from scrollres.cli import main
-from scrollres.linalg import (MAX_MODULUS, Entries, _blocks, is_prime,
-                              nullspace_modp, rank_modp)
+from scrollres.linalg import Entries, _blocks, nullspace_modp, rank_modp
 from scrollres.oracle import betti_oracle
+from scrollres.primes import MAX_MODULUS, is_prime
 from scrollres.resolution import field_resolution, phi
 from scrollres.scrolls import build_scroll
 

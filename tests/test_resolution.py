@@ -9,9 +9,9 @@ import pytest
 from scrollres import linalg, resolution
 from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
                               check_phi_ranks, inject_fault, scroll_point)
-from scrollres.ring import ring_for
+from scrollres.ring import ScrollRing, ring_for
 from scrollres.resolution import (MAX_FREE_RANK, MAX_STEPS, Resolution, SparseMatrixR,
-                                  _arrays, _grid, _phi, _ProductRun, _sizes, _triples,
+                                  _arrays, _grid, _per_node, _phi, _sizes, _triples,
                                   alpha, direct_sum, field_resolution,
                                   phi, phi0, phi1, phi2, resolution_of, staircase,
                                   u_block, v_block)
@@ -869,24 +869,74 @@ def test_negated_entries_share_objects():
     objects = {id(e) for step in res.steps for e in step.entries.values()}
     values = {e for step in res.steps for e in step.entries.values()}
     assert len(values) == 18
-    assert len(objects) <= 2 * len(values)
+    assert len(objects) == len(values)
+
+
+@pytest.mark.parametrize("blocks", [(2, 2), (3, 3), (2, 5), (4, 5), (7, 3)])
+def test_every_entry_is_a_signed_variable(blocks):
+    """Every entry of the explicit resolution to step 6 is a single +-x_v.
+
+    Each distinct leaf is read once (`_per_node`), not the flat view.
+    """
+    def signed_variables(m):
+        return all(len(e.terms) == 1 and sum(mono) == 1 and c in (1, -1)
+                   for e in m.entries.values() for mono, c in e.terms.items())
+
+    memo = {}
+    for step in field_resolution(build_scroll(blocks), 6).steps:
+        assert _per_node(step, signed_variables, lambda m, parts: all(parts), memo)
+
+
+def test_only_the_codes_a_step_holds_are_evaluated_and_written(monkeypatch):
+    """The palette is the ring's, shared by every matrix made on it.
+
+    A value planted in it that no step holds, here one with no image mod
+    101, is neither evaluated nor formatted.
+    """
+    from scrollres.ring import Element
+
+    ring = ring_for(S33)
+    planted = ring.element({(1, 0, 0, 0, 0, 0): Fraction(1, 101)})
+    assert ring.palette[planted.code] is planted
+    with pytest.raises(ValueError, match="no image mod 101"):
+        planted.eval_modp([1] * 6, 101)
+    res = field_resolution(S33, 4)
+    held = {e.code for step in res.steps for e in step.entries.values()}
+    assert planted.code not in held
+    for step in res.steps:
+        assert step.eval_modp(scroll_point(S33, random.Random(0), 101), 101).vals.size
+    calls = []
+
+    def counted(e):
+        calls.append(e.code)
+        return real_str(e)
+
+    real_str = Element.__str__
+    monkeypatch.setattr(Element, "__str__", counted)
+    res.write_json(io.StringIO())
+    assert sorted(calls) == sorted(held)
 
 
 @pytest.mark.parametrize("build", [lambda: staircase(S45, 10), lambda: phi(S45, 4),
                                    lambda: inject_fault(field_resolution(S45, 4), "sign_flip")
                                    .steps[2]], ids=["staircase", "phi4", "fault_copy"])
 def test_negation_negates_each_element_object_once(monkeypatch, build):
+    """Each value's negation is built at most once per ring, however often it is negated."""
     mat = build()
-    objects = {id(e) for e in mat.entries.values()}
-    calls = []
+    codes = {e.code for e in mat.entries.values()}
+    built = []
+    value = ScrollRing._value
 
-    def counted(e):
-        calls.append(id(e))
-        return -e
-    monkeypatch.setattr(resolution, "_negated", counted)
+    def counted(ring, terms):
+        built.append(frozenset(terms.items()))
+        return value(ring, terms)
+    monkeypatch.setattr(ScrollRing, "_value", counted)
+    monkeypatch.setattr(mat.ring, "_negations", {})  # count the negations made before too
     neg = -mat
-    assert sorted(calls) == sorted(objects) and len(objects) < len(mat.entries)
+    assert len(built) == len(set(built)) == len(codes) < len(mat.entries)
     assert dict(neg.entries.items()) == {pos: -e for pos, e in mat.entries.items()}
+    assert -mat == neg and -neg == mat
+    assert len(built) == len(set(built))  # the second round built only negations not yet made
 
 
 def assemble_reference(mat):
@@ -928,10 +978,9 @@ def test_piece_view_and_arrays_match_the_copy(blocks):
         a = mat.eval_modp(vals, p)
         assert sorted(zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist())) == \
             sorted((r, c, e.eval_modp(vals, p)) for (r, c), e in ref.items())
-        # the join's list reader, with the join's own value ids
-        run = _ProductRun()
-        assert _triples(mat, run.intern) == \
-            list(zip(*(x.tolist() for x in _arrays(mat, run.intern, {}))))
+        # the join's list reader and the writer's arrays, codes included
+        assert _triples(mat) == list(zip(*(x.tolist() for x in _arrays(mat, {})))) == \
+            [(r, c, e.code) for (r, c), e in ref.items()]
 
 
 def test_piece_stored_entries_are_read_only():
