@@ -154,14 +154,16 @@ def check_complex(res: Resolution) -> CheckReport:
 def check_minimality(res: Resolution) -> CheckReport:
     """No unit entries: every entry lies in the maximal ideal.
 
-    Each distinct block of a step is checked once; the first unit entry
-    in the step's iteration order is reported at its position in the step.
+    Each code a step holds (`SparseMatrixR.codes`) is tested once, never
+    the rest of its ring's palette.  Only a step that holds a unit code
+    lists its entries, and the first unit entry in its iteration order is
+    reported at its position in the step.
     """
     unit = (0,) * res.spec.n
     for idx, step in enumerate(res.steps):
-        hit = step.first(lambda e: unit in e.terms)
-        if hit is not None:
-            r, c, e = hit
+        units = {c for c in step.codes() if unit in step.ring.palette[c].terms}
+        if units:
+            (r, c), e = next((pos, e) for pos, e in step.entries.items() if e.code in units)
             return CheckReport(
                 "minimal", str(res.spec), False,
                 {"step": idx, "row": r, "col": c, "entry": str(e)},

@@ -33,11 +33,13 @@ i-1, down to one leaf per row band of phi_i for i <= 2.  So, from phi2
 and cone step 3 on, the column blocks of one differential are the row
 blocks of the next, at every level down to phi1.  A grid's
 `entries` is a read-only view that lists entries in block order; the
-consumers on the CLI's paths (the product, `eval_modp`, the writer,
-minimality) visit each distinct node once per call instead: `_arrays`
-gives a node's coordinate and code arrays, concatenated from its
-blocks' with their offsets, and `eval_modp` evaluates each code they
-hold once.
+join reads its factors through it, and they are small (see Products).
+The other consumers on the CLI's paths visit each distinct node once per
+call instead: `_arrays` gives a node's coordinate and code arrays,
+concatenated from its blocks' with their offsets, for `eval_modp`, which
+evaluates each code they hold once, and the writer; minimality tests
+each code a step holds (`codes`) and lists entries only to report a
+unit.
 
 Products.  `A @ B` is block multiplication: where both factors are grids
 and A's column starts are B's row starts, block (i, k) of the product is
@@ -45,11 +47,11 @@ the sum over j of A[i, j] @ B[j, k], computed the same way, once per
 distinct list of (left, right) pairs.  phi_i @ phi_{i+1} so comes down
 to products at the phi1 @ phi2 level, and so does each cone coupling
 phi_j (s * I) + (s * I)(-phi_j).  A leaf or blocks that do not line up
-give one join of the pairs' entries (`_ProductRun.join`), a plain loop:
-the right factor's entries are bucketed by row, and each contribution
-adds the terms of its code pair's product, multiplied once, to its
-position's sums.  The memos of node products and code-pair
-products live in one `_ProductRun`: each `@` makes its own, and
+give one join of the pairs' entries (`_ProductRun.join`), a plain loop
+over their `entries` views: the right factor's entries are bucketed by
+row, and each contribution adds the terms of its code pair's product,
+multiplied once, to its position's sums.  The memos of node products
+and code-pair products live in one `_ProductRun`: each `@` makes its own, and
 `check_complex` holds one for the whole check, so a pair of the shared
 nodes that recurs from step to step is multiplied once.  Only products
 of cached nodes (marked by `_shared`) are kept; a step's own grids never
@@ -74,7 +76,8 @@ numpy.  The module runs without it.  Only F_p work (`eval_modp` and
 `require_evaluable`, which reach `linalg` through its lazily registered
 module) and the writer (`_arrays`, `_keyed`, `_entry_writer`) load it, so
 the product, minimality and the d∘d check load neither numpy nor
-`linalg`: the join reads its entries as plain lists (`_triples`).
+`linalg`: they read entries and their codes through `entries` and
+`codes`.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -182,18 +185,10 @@ class SparseMatrixR:
                          dict(zip(m.blocks, parts)))
         return _per_node(self, leaf, node, {})
 
-    def first(self, pred) -> tuple[int, int, Element] | None:
-        """(row, col, entry) of the first entry in iteration order with pred(entry).
-
-        Each distinct node is searched once; None if no entry matches.
-        """
-        def leaf(m):
-            return next(((r, c, e) for (r, c), e in m.entries.items() if pred(e)), None)
-
-        def node(m, hits):
-            return next(((m.row_starts[i] + hit[0], m.col_starts[j] + hit[1], hit[2])
-                         for (i, j), hit in zip(m.blocks, hits) if hit), None)
-        return _per_node(self, leaf, node, {})
+    def codes(self) -> set[int]:
+        """The palette codes of the values the matrix holds; each distinct node is visited once."""
+        return _per_node(self, lambda m: {e.code for e in m.entries.values()},
+                         lambda m, parts: set().union(*parts), {})
 
     def require_evaluable(self) -> None:
         """Refuse a matrix of more than MAX_HELD_ENTRIES entries; visits
@@ -330,23 +325,6 @@ def _arrays(mat: SparseMatrixR, memo: dict, cached: dict | None = None):
     return _per_node(mat, leaf, node, memo, cached)
 
 
-def _triples(mat: SparseMatrixR) -> list[tuple[int, int, int]]:
-    """(row, col, code) for each entry of mat, in iteration order: `_arrays` as plain lists.
-
-    Each distinct node's list is built once.
-    """
-    def leaf(m):
-        return [(r, c, e.code) for (r, c), e in m.entries.items()]
-
-    def node(m, parts):
-        out = []
-        for (i, j), part in zip(m.blocks, parts):
-            r0, c0 = m.row_starts[i], m.col_starts[j]
-            out += [(r + r0, c + c0, v) for r, c, v in part]
-        return out
-    return _per_node(mat, leaf, node, {})
-
-
 def _held(codes) -> list[int]:
     """The distinct codes of an intp array, ascending, counted without a sort."""
     import numpy as np
@@ -363,8 +341,8 @@ class _ProductRun:
     pairs of cached nodes only: those live as long as their caches and
     recur from step to step, while a step's own grids, and their
     products, are not looked up again.  A check makes a few small joins
-    on every 2-block scroll, so the joins are loops over Python lists
-    (`_triples`), not numpy.
+    on every 2-block scroll, so a join is a loop over its factors'
+    `entries` views, not numpy.
     """
 
     def __init__(self):
@@ -418,12 +396,12 @@ class _ProductRun:
         sums: dict[tuple[int, int], dict] = {}
         for lhs, rhs in terms:
             by_mid: dict[int, list] = {}
-            for mid, col, right in _triples(rhs):
-                by_mid.setdefault(mid, []).append((col, right))
-            for row, mid, left in _triples(lhs):
+            for (mid, col), e in rhs.entries.items():
+                by_mid.setdefault(mid, []).append((col, e.code))
+            for (row, mid), e in lhs.entries.items():
                 for col, right in by_mid.get(mid, ()):
                     acc = sums.setdefault((row, col), {})
-                    for mono, coeff in self.expansion(ring, left, right):
+                    for mono, coeff in self.expansion(ring, e.code, right):
                         acc[mono] = acc.get(mono, 0) + coeff
         return _leaf(ring, n_rows, n_cols,
                      {pos: ring.element(acc) for pos, acc in sums.items() if any(acc.values())})
@@ -667,27 +645,28 @@ def phi1(spec: ScrollSpec) -> SparseMatrixR:
 def u_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
     """(m-2)(n-2) x (n-2), zero except the scroll-matrix top row at row i(n-2)+m."""
     _require_two_blocks(spec)
-    m, n = spec.m, spec.n
-    if not 0 <= i <= m - 3:
-        raise ValueError(f"u block index {i} out of range 0..{m - 3}")
-    ring = ring_for(spec)
-    top, _ = scroll_matrix(spec)
-    row = i * (n - 2) + m - 1  # 0-based
-    return _leaf(ring, (m - 2) * (n - 2), n - 2,
-                 {(row, c): ring.var_elem(v.flat, 1) for c, v in enumerate(top)})
+    return _scroll_row_block(spec, "u", i, spec.m, 0)
 
 
 def v_block(spec: ScrollSpec, i: int) -> SparseMatrixR:
     """(p-2)(n-2) x (n-2), minus the scroll-matrix bottom row at row i(n-2)+m-1."""
     _require_two_blocks(spec)
-    m, p, n = spec.m, spec.p, spec.n
-    if not 0 <= i <= p - 3:
-        raise ValueError(f"v block index {i} out of range 0..{p - 3}")
-    ring = ring_for(spec)
-    _, bottom = scroll_matrix(spec)
-    row = i * (n - 2) + m - 2  # 0-based
-    return _leaf(ring, (p - 2) * (n - 2), n - 2,
-                 {(row, c): ring.var_elem(v.flat, -1) for c, v in enumerate(bottom)})
+    return _scroll_row_block(spec, "v", i, spec.p, 1)
+
+
+def _scroll_row_block(spec: ScrollSpec, name: str, i: int, size: int, side: int) -> SparseMatrixR:
+    """Block i of the u (side 0) or v (side 1) family: (size-2)(n-2) x (n-2), one row.
+
+    That row, 0-based i(n-2)+m-1 for u and i(n-2)+m-2 for v, is the
+    scroll matrix's top row for u and minus its bottom row for v.
+    """
+    if not 0 <= i <= size - 3:
+        raise ValueError(f"{name} block index {i} out of range 0..{size - 3}")
+    ring, w = ring_for(spec), spec.n - 2
+    row, sign = i * w + spec.m - 1 - side, (1, -1)[side]
+    return _leaf(ring, (size - 2) * w, w,
+                 {(row, c): ring.var_elem(v.flat, sign)
+                  for c, v in enumerate(scroll_matrix(spec)[side])})
 
 
 @_shared

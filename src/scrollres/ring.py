@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .scrolls import (Monomial, ScrollSpec, format_monomial, minor_generators,
-                      toric_matrix)
+from .scrolls import (Monomial, ScrollSpec, _mono_from_pairs, format_monomial,
+                      minor_generators, toric_matrix)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -220,10 +220,7 @@ class ScrollRing:
 
     def monomial_elem(self, pairs, sign: int = 1) -> "Element":
         """Signed monomial from (flat index, exponent) pairs."""
-        e = [0] * self.n
-        for flat, exp in pairs:
-            e[flat - 1] += exp
-        return self.element({tuple(e): sign})
+        return self.element({_mono_from_pairs(self.n, pairs): sign})
 
 
 class Element:

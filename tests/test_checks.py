@@ -122,6 +122,16 @@ def test_check_minimality():
     assert rep.details["entry"] == "1"
 
 
+def test_minimality_tests_only_the_codes_a_step_holds():
+    """A unit value in the shared palette that no step holds does not fail minimality."""
+    trap = ring_for(S33).element({(0,) * 6: 1, (1, 0, 0, 0, 0, 0): 1})  # 1 + x1
+    res = field_resolution(S33, 5)
+    for step in res.steps:
+        held = step.codes()
+        assert held == {e.code for e in step.entries.values()} and trap.code not in held
+    assert check_minimality(res).ok
+
+
 def test_check_exactness_3_3():
     res = field_resolution(S33, 5)
     rep = check_exactness(res, 2, seed=42)

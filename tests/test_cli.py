@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -466,19 +467,21 @@ def test_reader_closing_stdout_early_is_not_an_error():
 
 
 def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch, joins):
-    """exact and export work on distinct blocks: no step's entries are listed."""
+    """exact and export work on distinct blocks: no step from step 3 on has its entries listed."""
     from scrollres import resolution
 
-    steps = set()
+    steps, walks = {}, Counter()  # id of a grid step -> its number (1-based); walks per number
 
     def recording(spec, n):
         res = field_resolution(spec, n)
-        steps.update(id(s) for s in res.steps if s.blocks is not None)
+        steps.update((id(s), k) for k, s in enumerate(res.steps, start=1) if s.blocks is not None)
         return res
 
     def walk(mat, r0, c0):
         if id(mat) in steps:
-            raise AssertionError("a grid step was iterated")
+            walks[steps[id(mat)]] += 1
+            if steps[id(mat)] > 2:
+                raise AssertionError("a grid step was iterated")
         return real_walk(mat, r0, c0)
 
     real_walk = resolution._walk
@@ -489,16 +492,20 @@ def test_hot_paths_do_not_materialise_a_step(tmp_path, capsys, monkeypatch, join
     rc, out = run(capsys, exact)
     assert rc == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"
     assert len(steps) == 5  # every step but the first is a grid
+    # step 1 is a leaf, so step 1 @ step 2 is a join, which lists step 2's
+    # 114 entries through its view once; minimality lists none
+    assert walks == {2: 1}
     # the largest joins, over both factors, are a band of staircases @ the
     # next step's phi1 copies, which do not line up (686 entries); the cone
     # couplings come down to joins at the phi1 level, while the join of the
     # whole steps 5 and 6 would hold 195,510 entries
     assert 0 < max(joins) <= 1000
     steps.clear()
+    walks.clear()
     path = tmp_path / "export.json"
     assert main(["resolve", "--scroll", "4,5", "--steps", "6", "--format", "json",
                  "--out", str(path)]) == 0
-    assert len(steps) == 5
+    assert len(steps) == 5 and not walks
     assert json.loads(path.read_text())["ranks"][-1] == "74088"
     with pytest.raises(AssertionError, match="iterated"):  # the guard works
         dict(recording(build_scroll([4, 5]), 3).steps[-1].entries.items())
