@@ -4,9 +4,9 @@
 `series`.  `linalg`, `resolution`, `checks` and `oracle` are registered in
 `sys.modules` as lazy modules that run on their first attribute access,
 and the names re-exported from them are served on demand, so the closed
-forms start without them.  Of these only `linalg` and `oracle` import
-numpy when they run; `resolution` and `checks` load it only for F_p work
-and the `resolve` writer, so `verify`'s ring-only checks run without it.
+forms start without them.  Only the `resolve` writer in `resolution`
+loads numpy: F_p work in `linalg`, `checks` and `oracle` runs on the
+standard library, so `verify` and `oracle` run without numpy.
 """
 
 import sys as _sys

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from itertools import chain, repeat
 
 from .linalg import Entries, nullspace_modp, rank_modp
 from .primes import require_prime_modulus
@@ -86,8 +85,14 @@ def _mult_table(spec: ScrollSpec, var: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def multiplication_map(spec: ScrollSpec, var: int, d: int) -> np.ndarray:
-    """0/1 matrix of multiplication by x_var from degree d to d+1, over any field."""
+def multiplication_map(spec: ScrollSpec, var: int, d: int):
+    """0/1 int64 ndarray of multiplication by x_var from degree d to d+1, over any field.
+
+    The oracle itself reads `_mult_table`; this dense form, the one use of
+    numpy here, is for inspection and tests.
+    """
+    import numpy as np
+
     if not 1 <= var <= spec.n:
         raise ValueError(f"variable index {var} out of range")
     if d < 0:
@@ -107,17 +112,22 @@ def _degree_matrix(spec: ScrollSpec, d: Entries, a: int) -> Entries:
     kernel basis it was taken from: the coefficient of x_{v+1} in the
     (g, h) entry sits at row g*n + v, column h.  The returned matrix maps
     (h, mu in R_a) to (g, normal form of x*mu in R_{a+1}), one entry per
-    entry of `d` and mu.
+    entry of `d` and mu, in that order, as lists.
     """
     n = spec.n
     rb = len(graded_basis(spec, a + 1))
     ra = len(graded_basis(spec, a))
-    tables = np.array([_mult_table(spec, v + 1, a) for v in range(n)])
-    g, v = np.divmod(d.rows, n)
-    rows = g[:, None] * rb + tables[v]
-    cols = d.cols[:, None] * ra + np.arange(ra)
-    return Entries((d.shape[0] // n * rb, d.shape[1] * ra), rows.ravel(), cols.ravel(),
-                   np.repeat(d.vals, ra))
+    tables = [_mult_table(spec, v + 1, a) for v in range(n)]
+    # the rows of d's row g*n + v: g*rb + tables[v], once per row d holds
+    shifted = {}
+    for r in set(d.rows):
+        g, v = divmod(r, n)
+        shifted[r] = list(map((g * rb).__add__, tables[v]))
+    spans = [range(h * ra, (h + 1) * ra) for h in range(d.shape[1])]
+    rows = list(chain.from_iterable(map(shifted.__getitem__, d.rows)))
+    cols = list(chain.from_iterable(map(spans.__getitem__, d.cols)))
+    vals = list(chain.from_iterable(map(repeat, d.vals, repeat(ra))))
+    return Entries((d.shape[0] // n * rb, d.shape[1] * ra), rows, cols, vals)
 
 
 def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
@@ -139,7 +149,7 @@ def betti_oracle(spec: ScrollSpec, imax: int, modulus: int) -> BettiTable:
     table = BettiTable(p, {(0, 0): 1, (1, 0): 0}, imax)
     # step 1 starts from d_0, the augmentation: ker(d_0)_j = R_j for j >= 1,
     # so over its one generator the degree-1 kernel basis is the identity
-    kernel = Entries((n, n), np.arange(n), np.arange(n), np.ones(n, np.int64))
+    kernel = Entries((n, n), range(n), range(n), [1] * n)
     # ker(d_{i-1}) in degrees i+1 and i+2
     near, far = len(graded_basis(spec, 2)), len(graded_basis(spec, 3))
     for i in range(1, imax + 1):

@@ -34,12 +34,13 @@ and cone step 3 on, the column blocks of one differential are the row
 blocks of the next, at every level down to phi1.  A grid's
 `entries` is a read-only view that lists entries in block order; the
 join reads its factors through it, and they are small (see Products).
-The other consumers on the CLI's paths visit each distinct node once per
-call instead: `_arrays` gives a node's coordinate and code arrays,
-concatenated from its blocks' with their offsets, for `eval_modp`, which
-evaluates each code they hold once, and the writer; minimality tests
-each code a step holds (`codes`) and lists entries only to report a
-unit.
+The other consumers on the CLI's paths read each distinct node once per
+call instead.  `eval_modp` reads each distinct leaf's coordinates and
+codes once, evaluates each code they hold once, and writes every entry
+once, shifted by its leaf's offsets.  The writer's `_arrays` gives a
+node's coordinate and code arrays, concatenated from its blocks' with
+their offsets.  Minimality tests each code a step holds (`codes`) and
+lists entries only to report a unit.
 
 Products.  `A @ B` is block multiplication: where both factors are grids
 and A's column starts are B's row starts, block (i, k) of the product is
@@ -72,11 +73,12 @@ blocks (2,2) pay for them once.  `to_json_obj` and `to_text_lines`
 share none of this: they format each entry of `items_sorted()` on its
 own, and the writer's output must equal theirs byte for byte.
 
-numpy.  The module runs without it.  Only F_p work (`eval_modp` and
-`require_evaluable`, which reach `linalg` through its lazily registered
-module) and the writer (`_arrays`, `_keyed`, `_entry_writer`) load it, so
-the product, minimality and the d∘d check load neither numpy nor
-`linalg`: they read entries and their codes through `entries` and
+numpy.  The module runs without it.  Only the writer (`_arrays`,
+`_held`, `_keyed`, `_entry_writer`) loads it.  F_p work (`eval_modp` and
+`require_evaluable`) reaches `linalg` through its lazily registered
+module and builds stdlib `array('q')`s, so the rank probes load no
+numpy.  The product, minimality and the d∘d check load neither numpy
+nor `linalg`: they read entries and their codes through `entries` and
 `codes`.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
@@ -88,6 +90,7 @@ block pair exercised by the test suite).
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
@@ -196,21 +199,32 @@ class SparseMatrixR:
         linalg.require_held_entries(len(self.entries), (self.rows, self.cols), "evaluating")
 
     def eval_modp(self, values: list[int], p: int) -> linalg.Entries:
-        """The entries' images at x_i = values[i-1] mod p, one per entry.
+        """The entries' images at x_i = values[i-1] mod p, one per entry, as array('q').
 
-        Each distinct node is visited once, and each code the matrix
-        holds is evaluated once, then gathered: the rest of the ring's
-        palette is not evaluated.  A matrix of more than MAX_HELD_ENTRIES
-        entries is refused first (`require_evaluable`).
+        Entries come in iteration order.  Each distinct leaf is read once,
+        its rows, columns and codes, and each code the matrix holds is
+        evaluated once, then gathered: the rest of the ring's palette is
+        not evaluated.  Each entry is then written once, shifted by its
+        leaf's offsets (`_parts`): no entry is visited through the
+        `entries` view, and no grid's arrays are built.  A matrix of more
+        than MAX_HELD_ENTRIES entries is refused first (`require_evaluable`).
         """
-        import numpy as np
-
         self.require_evaluable()
-        rows, cols, codes = _arrays(self, {})
-        image = np.zeros(len(self.ring.palette), np.int64)
-        for code in _held(codes):
-            image[code] = self.ring.palette[code].eval_modp(values, p)
-        return linalg.Entries((self.rows, self.cols), rows, cols, image[codes])
+        palette, image, leaves = self.ring.palette, {}, {}
+        rows, cols, vals = array("q"), array("q"), array("q")
+        for leaf, r0, c0 in _parts(self, 0, 0, False):
+            if id(leaf) not in leaves:
+                codes = [e.code for e in leaf.entries.values()]
+                for code in set(codes).difference(image):
+                    image[code] = palette[code].eval_modp(values, p)
+                flat = list(chain.from_iterable(leaf.entries))
+                leaves[id(leaf)] = (flat[0::2], flat[1::2],
+                                    array("q", map(image.__getitem__, codes)))
+            r, c, v = leaves[id(leaf)]
+            rows.fromlist([r0 + x for x in r] if r0 else r)
+            cols.fromlist([c0 + x for x in c] if c0 else c)
+            vals.extend(v)
+        return linalg.Entries((self.rows, self.cols), rows, cols, vals)
 
     def to_json_obj(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -475,8 +489,8 @@ def _keyed(mat: SparseMatrixR, cached: dict) -> tuple:
     """Position keys row * mat.cols + col and intp codes of mat's entries, unordered.
 
     mat's own grids are walked, not concatenated: each cached node and
-    fresh leaf below them gives its arrays (`_arrays`, with the memo
-    `cached`), and these go straight into the result.
+    fresh leaf below them (`_parts`) gives its arrays (`_arrays`, with
+    the memo `cached`), and these go straight into the result.
     """
     import numpy as np
 
@@ -484,7 +498,7 @@ def _keyed(mat: SparseMatrixR, cached: dict) -> tuple:
         raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
     memo: dict = {}
     parts = [(_arrays(node, memo, cached), r0 * mat.cols + c0)
-             for node, r0, c0 in _cached_parts(mat, 0, 0)]
+             for node, r0, c0 in _parts(mat, 0, 0, True)]
     keys = np.empty(sum(vals.size for (_, _, vals), _ in parts), np.intp)
     at = 0
     for (rows, cols, vals), shift in parts:
@@ -495,16 +509,18 @@ def _keyed(mat: SparseMatrixR, cached: dict) -> tuple:
     return keys, np.concatenate([vals for (_, _, vals), _ in parts] or [np.empty(0, np.intp)])
 
 
-def _cached_parts(mat: SparseMatrixR, r0: int, c0: int):
-    """(node, row offset, column offset) of each cached node and fresh leaf that makes up mat.
+def _parts(mat: SparseMatrixR, r0: int, c0: int, whole_cached: bool):
+    """(node, row offset, column offset) of each leaf that makes up mat.
 
-    Only fresh grids are walked into, so a cached node's blocks are not.
+    With `whole_cached`, a cached grid is one part too, and its blocks
+    are not walked into.
     """
-    if mat.cached or mat.blocks is None:
+    if mat.blocks is None or (whole_cached and mat.cached):
         yield mat, r0, c0
     else:
         for (i, j), part in mat.blocks.items():
-            yield from _cached_parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
+            yield from _parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j],
+                              whole_cached)
 
 
 def _shared(build):

@@ -1,5 +1,6 @@
 import random
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def entries(mat):
 def dense(a):
     """The int64 array of an `Entries` matrix whose values are exact integers."""
     out = np.zeros(a.shape, dtype=np.int64)
-    np.add.at(out, (a.rows, a.cols), a.vals.astype(np.int64))
+    np.add.at(out, (np.asarray(a.rows), np.asarray(a.cols)), np.asarray(a.vals).astype(np.int64))
     return out
 
 
@@ -137,11 +138,11 @@ def test_entry_equal_to_p_links_row_and_column():
     p = 101
     a = Entries((2, 3), np.array([0, 0, 1]), np.array([0, 1, 1]),
                 np.array([1.0, p, 1.0]))
-    (cs, shape, ents), = _blocks(a, p)
+    (cs, shape, triples), = _blocks(a, p)
     assert cs.tolist() == [0, 1] and shape == (2, 2)
     # the entry p is kept, as residue 0, and links row 0 to column 1
-    assert ents.dtype == np.int64
-    assert ents.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 1]]
+    assert all(type(v) is int and 0 <= v < p for v in triples[2::3])
+    assert triples == [0, 0, 1, 0, 1, 0, 1, 1, 1]
     assert rank_modp(a, p) == 2
     assert dense(nullspace_modp(a, p)).tolist() == [[0], [0], [1]]
 
@@ -181,9 +182,11 @@ def test_blocks_match_per_component_unique():
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g[1] == w[1]
+                # columns as array('q') and flat triples of Python ints, byte for byte
+                assert g[0].typecode == "q" and all(type(v) is int for v in g[2])
                 for x, y in ((g[0], w[0]), (g[2], w[2])):
-                    assert x.dtype == y.dtype and x.shape == y.shape
-                    assert x.tobytes() == y.tobytes()
+                    assert len(x) == y.size
+                    assert array("q", x).tobytes() == y.astype(np.int64).tobytes()
 
 
 def reference_nullspace(mat, p):
@@ -219,11 +222,12 @@ def test_kernel_of_repeated_blocks_keeps_their_sparsity():
         n, nullity = basis.shape
         assert (n, nullity) == (7 * k, 5 * k)
         # linear in k, while n * nullity grows as k**2
-        assert basis.vals.size == k * one.vals.size < n * nullity / k
+        assert len(basis.vals) == k * len(one.vals) < n * nullity / k
         assert np.array_equal(dense(basis), reference_nullspace(dense(a), p))
         # exact integers in [1, p), each coordinate once, in row-major order
-        assert np.all((basis.vals >= 1) & (basis.vals < p) & (basis.vals % 1 == 0))
-        assert np.all(np.diff(basis.rows * nullity + basis.cols) > 0)
+        vals = np.asarray(basis.vals)
+        assert np.all((vals >= 1) & (vals < p) & (vals % 1 == 0))
+        assert np.all(np.diff(np.asarray(basis.rows) * nullity + np.asarray(basis.cols)) > 0)
 
 
 def diagonal(components, extra=(0, 0), order=None):
@@ -346,6 +350,28 @@ def test_random_sparse_entries_match_reference():
             a = Entries((m, n), rng.integers(0, m, size=k), rng.integers(0, n, size=k),
                         vals.astype(np.float64))
             assert_matches_dense_reference(a, p)
+
+
+def test_every_input_form_gives_equal_results():
+    """One matrix as lists, as array('q'), and as int64 and integral float64
+    numpy arrays: equal ranks and byte-equal kernels, as the dense reference."""
+    rng = np.random.default_rng(31)
+    for p in (3, 101, 32003):
+        for _ in range(10):
+            m, n = (int(x) for x in rng.integers(1, 12, size=2))
+            k = int(rng.integers(0, m * n + 1))
+            rows, cols = rng.integers(0, m, size=k), rng.integers(0, n, size=k)
+            vals = rng.integers(-2 * p, 2 * p, size=k)  # repeats and multiples of p
+            forms = [Entries((m, n), rows.tolist(), cols.tolist(), vals.tolist()),
+                     Entries((m, n), *(array("q", x.tolist()) for x in (rows, cols, vals))),
+                     Entries((m, n), rows, cols, vals.astype(np.int64)),
+                     Entries((m, n), rows, cols, vals.astype(np.float64))]
+            ranks = [rank_modp(a, p) for a in forms]
+            kernels = [nullspace_modp(a, p) for a in forms]
+            assert ranks == [reference_rank(dense(forms[2]).tolist(), p)] * 4
+            assert len({(b.shape, b.rows.tobytes(), b.cols.tobytes(), b.vals.tobytes())
+                        for b in kernels}) == 1
+            assert np.array_equal(dense(kernels[0]), reference_nullspace(dense(forms[2]), p))
 
 
 def fill_component(k, w):

@@ -1,8 +1,8 @@
 """What `import scrollres` runs, and what the package exports.
 
 The closed forms (betti, hilbert, faces) live in the numpy-free layer;
-linalg, resolution, checks and oracle run on first use, and only F_p work
-and the resolve writer load numpy.  Which modules a process has loaded is
+linalg, resolution, checks and oracle run on first use, and only the
+resolve writer loads numpy.  Which modules a process has loaded is
 only visible from a fresh interpreter, so those tests run one.
 """
 import json
@@ -73,13 +73,18 @@ def test_ring_only_checks_load_no_numpy():
         "stderr": "error: modulus 4 is not a prime p with 3 <= p < 2**26\n"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["resolve", "--scroll", "3,3", "--steps", "2"],
-    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
-    ["oracle", "--scroll", "3,3", "--imax", "2"],
-    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"],
-])
-def test_finite_field_subcommands_load_numpy(argv):
+def test_finite_field_subcommands_load_no_numpy():
+    """The oracle and the rank probes run their F_p work on the standard library."""
+    argvs = [["oracle", "--scroll", "3,3", "--imax", "2"],
+             ["oracle", "--compare", "--scroll", "2,2,2", "--imax", "3"],
+             ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
+             ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"]]
+    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False, "stderr": ""}
+
+
+def test_resolve_writer_loads_numpy():
+    """`resolve` is the one subcommand whose writer still gathers with numpy."""
+    argv = ["resolve", "--scroll", "3,3", "--steps", "2"]
     assert run_fresh([argv]) == {"rcs": [0], "numpy": True, "stderr": ""}
 
 

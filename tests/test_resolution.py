@@ -557,7 +557,7 @@ def test_eval_modp_one_value_per_entry():
         vals = scroll_point(S43, random.Random(step.cols), p)
         a = step.eval_modp(vals, p)
         assert a.shape == (step.rows, step.cols)
-        assert a.rows.size == a.cols.size == a.vals.size == len(step.entries)
+        assert len(a.rows) == len(a.cols) == len(a.vals) == len(step.entries)
         dense = np.zeros(a.shape)
         np.add.at(dense, (a.rows, a.cols), a.vals)
         want = np.zeros(a.shape)
@@ -904,7 +904,7 @@ def test_only_the_codes_a_step_holds_are_evaluated_and_written(monkeypatch):
     held = {e.code for step in res.steps for e in step.entries.values()}
     assert planted.code not in held
     for step in res.steps:
-        assert step.eval_modp(scroll_point(S33, random.Random(0), 101), 101).vals.size
+        assert len(step.eval_modp(scroll_point(S33, random.Random(0), 101), 101).vals)
     calls = []
 
     def counted(e):
