@@ -73,6 +73,19 @@ def test_ring_only_checks_load_no_numpy():
         "stderr": "error: modulus 4 is not a prime p with 3 <= p < 2**26\n"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--scroll", "3,3", "--steps", "2"],
+    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
+    ["oracle", "--scroll", "3,3", "--imax", "2"],
+    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"],
+])
+def test_finite_field_subcommands_load_numpy(argv):
+    """Whether each F_p subcommand loads numpy: only the resolve writer,
+    which still gathers with numpy, does."""
+    numpy = argv[0] == "resolve"
+    assert run_fresh([argv]) == {"rcs": [0], "numpy": numpy, "stderr": ""}
+
+
 def test_finite_field_subcommands_load_no_numpy():
     """The oracle and the rank probes run their F_p work on the standard library."""
     argvs = [["oracle", "--scroll", "3,3", "--imax", "2"],
@@ -80,12 +93,6 @@ def test_finite_field_subcommands_load_no_numpy():
              ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
              ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"]]
     assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False, "stderr": ""}
-
-
-def test_resolve_writer_loads_numpy():
-    """`resolve` is the one subcommand whose writer still gathers with numpy."""
-    argv = ["resolve", "--scroll", "3,3", "--steps", "2"]
-    assert run_fresh([argv]) == {"rcs": [0], "numpy": True, "stderr": ""}
 
 
 def test_public_api_is_unchanged():
