@@ -1,12 +1,11 @@
 """Betti numbers and explicit minimal free resolutions over rational normal scrolls.
 
-`import scrollres` runs only the numpy-free layer: `scrolls`, `ring` and
+`import scrollres` runs only the closed-form layer: `scrolls`, `ring` and
 `series`.  `linalg`, `resolution`, `checks` and `oracle` are registered in
 `sys.modules` as lazy modules that run on their first attribute access,
 and the names re-exported from them are served on demand, so the closed
-forms start without them.  Only the `resolve` writer in `resolution`
-loads numpy: F_p work in `linalg`, `checks` and `oracle` runs on the
-standard library, so `verify` and `oracle` run without numpy.
+forms start without them.  Every module runs on the standard library:
+no subcommand loads numpy.
 """
 
 import sys as _sys

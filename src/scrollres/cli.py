@@ -20,8 +20,7 @@ import os
 import sys
 
 # the package registers these four lazily: through the module objects,
-# betti, hilbert and faces run without loading them.  Only the resolve
-# writer loads numpy; verify and oracle, F_p work included, run without it
+# betti, hilbert and faces run without loading them
 from . import checks, oracle, resolution
 from .primes import require_prime_modulus
 from .scrolls import FAULT_KINDS, ScrollSpec, build_scroll

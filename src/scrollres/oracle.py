@@ -85,24 +85,20 @@ def _mult_table(spec: ScrollSpec, var: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def multiplication_map(spec: ScrollSpec, var: int, d: int):
-    """0/1 int64 ndarray of multiplication by x_var from degree d to d+1, over any field.
+def multiplication_map(spec: ScrollSpec, var: int, d: int) -> Entries:
+    """Multiplication by x_var from degree d to d+1, over any field, as `Entries`.
 
-    The oracle itself reads `_mult_table`; this dense form, the one use of
-    numpy here, is for inspection and tests.
+    Column c, the c-th monomial of degree d, holds one 1, in the row of
+    x_var times it.  The oracle itself reads `_mult_table`; this form is
+    for inspection and tests.
     """
-    import numpy as np
-
     if not 1 <= var <= spec.n:
         raise ValueError(f"variable index {var} out of range")
     if d < 0:
         raise ValueError("degree must be non-negative")
-    rows = len(graded_basis(spec, d + 1))
-    cols = len(graded_basis(spec, d))
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for col, row in enumerate(_mult_table(spec, var, d)):
-        out[row, col] = 1
-    return out
+    rows = _mult_table(spec, var, d)
+    shape = (len(graded_basis(spec, d + 1)), len(rows))
+    return Entries(shape, list(rows), list(range(len(rows))), [1] * len(rows))
 
 
 def _degree_matrix(spec: ScrollSpec, d: Entries, a: int) -> Entries:

@@ -1,10 +1,10 @@
-"""The one modulus rule of every F_p computation, without numpy.
+"""The one modulus rule of every F_p computation.
 
 `require_prime_modulus` is the rule for every entry point, the CLI's
 `--modulus` included: a prime p with 2 <= p < MAX_MODULUS = 2**26 (3 <= p
 for the rank probes), the range checked before the trial division.  It
 lives here, not in `linalg`, so that a command refuses a bad modulus
-without loading numpy.
+without loading `linalg`.
 """
 from __future__ import annotations
 

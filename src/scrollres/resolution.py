@@ -35,12 +35,12 @@ blocks of the next, at every level down to phi1.  A grid's
 `entries` is a read-only view that lists entries in block order; the
 join reads its factors through it, and they are small (see Products).
 The other consumers on the CLI's paths read each distinct node once per
-call instead.  `eval_modp` reads each distinct leaf's coordinates and
-codes once, evaluates each code they hold once, and writes every entry
-once, shifted by its leaf's offsets.  The writer's `_arrays` gives a
-node's coordinate and code arrays, concatenated from its blocks' with
-their offsets.  Minimality tests each code a step holds (`codes`) and
-lists entries only to report a unit.
+call instead.  `eval_modp` and the writer walk a matrix to its leaf
+placements (`_parts`) and read each distinct leaf's coordinates and
+codes through one reader (`_read`); `eval_modp` evaluates each code
+they hold once and writes every entry once, shifted by its leaf's
+offsets.  Minimality tests each code a step holds (`codes`) and lists
+entries only to report a unit.
 
 Products.  `A @ B` is block multiplication: where both factors are grids
 and A's column starts are B's row starts, block (i, k) of the product is
@@ -61,25 +61,24 @@ the step before, as phi_j @ phi_{j+1} is, and on every 2-block scroll a
 check of any length makes the same joins, all in its first five
 products (the largest on (4,5) holds 686 entries over both factors).
 
-Writing.  `write_json` and `write_text` stream one step at a time.  A
-step's entries come as position keys and codes, gathered from its
-cached nodes and fresh leaves (`_keyed`) and sorted once.  Each entry is
-written as three pieces: a row piece and a column numeral, formatted once
-per row and per distinct column of a chunk, and an entry piece, formatted
-once per code the steps hold, never for the rest of the palette; numpy
-gathers them for one join per chunk (`_entry_writer`).  One write keeps
-the cached leaves' arrays and each code's piece for all its steps, so
-blocks (2,2) pay for them once.  `to_json_obj` and `to_text_lines`
-share none of this: they format each entry of `items_sorted()` on its
-own, and the writer's output must equal theirs byte for byte.
+Writing.  `write_json` and `write_text` stream one step at a time, a
+row group at a time: leaves whose row ranges overlap are one group
+(`_row_groups`), and each group's entries are sorted as plain-int keys
+that carry position and code.  Each entry is written as three pieces: a
+row piece, formatted once per row of a chunk, a column numeral, and an
+entry piece, formatted once per code the steps hold, never for the rest
+of the palette (`_entry_writer`).  Memory follows the largest group, not
+the step.  One write keeps the cached leaves' keys and each code's piece
+for all its steps, so blocks (2,2) pay for them once.  `to_json_obj`
+and `to_text_lines` share none of this: they format each entry of
+`items_sorted()` on its own, and the writer's output must equal theirs
+byte for byte.
 
-numpy.  The module runs without it.  Only the writer (`_arrays`,
-`_held`, `_keyed`, `_entry_writer`) loads it.  F_p work (`eval_modp` and
+The module runs on the standard library.  F_p work (`eval_modp` and
 `require_evaluable`) reaches `linalg` through its lazily registered
-module and builds stdlib `array('q')`s, so the rank probes load no
-numpy.  The product, minimality and the d∘d check load neither numpy
-nor `linalg`: they read entries and their codes through `entries` and
-`codes`.
+module and builds `array('q')`s.  The product, minimality and the d∘d
+check do not load `linalg`: they read entries and their codes through
+`entries` and `codes`.
 
 Column offsets of the single-row u/v blocks inside phi2's central band
 are not forced by the block shapes alone; this implementation pins the
@@ -103,17 +102,18 @@ from .scrolls import ScrollSpec, scroll_matrix
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
 
-# (4,5) at step 8, rank 2,667,168: `resolve --out` peaks near 240 MB and
-# `verify` near 560 MB, each in under 10 s; `verify --checks
-# complex,minimal,minors` materialises no step and takes 0.4 s at 33 MB.
-# Step 7 (rank 444,528) peaks near 80 MB.  Step 9 has 6x the rank and
-# would need ~6x the memory.
+# (4,5) at step 8, rank 2,667,168, cold on a 2-core Xeon VM: `resolve
+# --out` takes about 4 s at 36 MB peak RSS, writing 525 MB, and `verify`
+# 6 s at 735 MB; `verify --checks complex,minimal,minors` materialises no
+# step and takes 0.09 s at 17 MB.  Step 7 (rank 444,528): `resolve --out`
+# 0.6 s at 19 MB.  Step 9 has 6x the rank and would need ~6x the time,
+# and `verify` ~6x the memory.
 MAX_FREE_RANK = 3 * 10**6
 # the rank guard cannot bound blocks (2,2), where beta_i = 8 for every
 # i >= 3; every other scroll stops by step 19.  This bounds the output:
 # `check_complex` on (2,2) makes the same 13 joins at any length.  At 5000
-# steps, cold on a 2-core Xeon VM: `resolve --out` 1.0 s at 42 MB peak RSS,
-# writing 7.0 MB, and `verify --checks complex,minimal` 0.9 s at 43 MB;
+# steps, cold on a 2-core Xeon VM: `resolve --out` 0.4 s at 29 MB peak RSS,
+# writing 7.0 MB, and `verify --checks complex,minimal` 0.4 s at 27 MB;
 # both grow linearly in the steps.
 MAX_STEPS = 5000
 
@@ -201,10 +201,10 @@ class SparseMatrixR:
     def eval_modp(self, values: list[int], p: int) -> linalg.Entries:
         """The entries' images at x_i = values[i-1] mod p, one per entry, as array('q').
 
-        Entries come in iteration order.  Each distinct leaf is read once,
-        its rows, columns and codes, and each code the matrix holds is
-        evaluated once, then gathered: the rest of the ring's palette is
-        not evaluated.  Each entry is then written once, shifted by its
+        Entries come in iteration order.  Each distinct leaf is read once
+        (`_read`), its rows, columns and codes, and each code the matrix
+        holds is evaluated once, then gathered: the rest of the ring's
+        palette is not evaluated.  Each entry is then written once, shifted by its
         leaf's offsets (`_parts`): no entry is visited through the
         `entries` view, and no grid's arrays are built.  A matrix of more
         than MAX_HELD_ENTRIES entries is refused first (`require_evaluable`).
@@ -212,14 +212,12 @@ class SparseMatrixR:
         self.require_evaluable()
         palette, image, leaves = self.ring.palette, {}, {}
         rows, cols, vals = array("q"), array("q"), array("q")
-        for leaf, r0, c0 in _parts(self, 0, 0, False):
+        for leaf, r0, c0 in _parts(self):
             if id(leaf) not in leaves:
-                codes = [e.code for e in leaf.entries.values()]
+                r, c, codes = _read(leaf)
                 for code in set(codes).difference(image):
                     image[code] = palette[code].eval_modp(values, p)
-                flat = list(chain.from_iterable(leaf.entries))
-                leaves[id(leaf)] = (flat[0::2], flat[1::2],
-                                    array("q", map(image.__getitem__, codes)))
+                leaves[id(leaf)] = r, c, array("q", map(image.__getitem__, codes))
             r, c, v = leaves[id(leaf)]
             rows.fromlist([r0 + x for x in r] if r0 else r)
             cols.fromlist([c0 + x for x in c] if c0 else c)
@@ -303,47 +301,22 @@ def _walk(mat: SparseMatrixR, r0: int, c0: int):
             yield from _walk(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
 
 
-def _per_node(mat: SparseMatrixR, leaf, node, memo: dict, cached: dict | None = None):
+def _per_node(mat: SparseMatrixR, leaf, node, memo: dict):
     """leaf(mat) for a leaf, else node(mat, [the result for each block]).
 
-    Each distinct node is visited once per memo.  With `cached` given,
-    the results of cached leaves go there instead, to outlive memo: a
-    leaf's result is made entry by entry, a grid's only from its blocks'.
+    Each distinct node is visited once per memo.
     """
-    table = cached if cached is not None and mat.cached and mat.blocks is None else memo
     key = id(mat)
-    if key not in table:
-        table[key] = leaf(mat) if mat.blocks is None else node(
-            mat, [_per_node(part, leaf, node, memo, cached) for part in mat.blocks.values()])
-    return table[key]
+    if key not in memo:
+        memo[key] = leaf(mat) if mat.blocks is None else node(
+            mat, [_per_node(part, leaf, node, memo) for part in mat.blocks.values()])
+    return memo[key]
 
 
-def _arrays(mat: SparseMatrixR, memo: dict, cached: dict | None = None):
-    """(rows, cols, codes) intp arrays of mat's entries, in iteration order.
-
-    A grid concatenates its blocks' arrays, each distinct node's built
-    once per memo and `cached` (see `_per_node`).
-    """
-    import numpy as np
-
-    def leaf(m):
-        flat = np.fromiter(chain.from_iterable(m.entries), np.intp, 2 * len(m.entries))
-        rows, cols = flat.reshape(-1, 2).T
-        return rows, cols, np.fromiter((e.code for e in m.entries.values()), np.intp, len(m.entries))
-
-    def node(m, parts):
-        offsets = [(m.row_starts[i], m.col_starts[j]) for i, j in m.blocks]
-        return (np.concatenate([r + r0 for (r0, _), (r, _, _) in zip(offsets, parts)]),
-                np.concatenate([c + c0 for (_, c0), (_, c, _) in zip(offsets, parts)]),
-                np.concatenate([v for _, _, v in parts]))
-    return _per_node(mat, leaf, node, memo, cached)
-
-
-def _held(codes) -> list[int]:
-    """The distinct codes of an intp array, ascending, counted without a sort."""
-    import numpy as np
-
-    return np.flatnonzero(np.bincount(codes)).tolist()
+def _read(leaf: SparseMatrixR) -> tuple:
+    """(rows, cols, codes): the lists of a leaf's coordinates and palette codes, in iteration order."""
+    flat = list(chain.from_iterable(leaf.entries))
+    return flat[0::2], flat[1::2], [e.code for e in leaf.entries.values()]
 
 
 class _ProductRun:
@@ -356,7 +329,7 @@ class _ProductRun:
     recur from step to step, while a step's own grids, and their
     products, are not looked up again.  A check makes a few small joins
     on every 2-block scroll, so a join is a loop over its factors'
-    `entries` views, not numpy.
+    `entries` views.
     """
 
     def __init__(self):
@@ -440,87 +413,86 @@ _WRITE_CHUNK = 1 << 16  # entries per join and fh.write
 def _entry_writer(pieces: tuple, text):
     """write(fh, step): write step's entries in (row, col) order as pieces; return their number.
 
-    Each entry is three pieces.  Its entry piece is formatted, from
-    text(entry), once per code a step holds, and each cached leaf's
-    arrays are built once, over all the steps one writer writes.  Rows
-    come sorted, so a chunk covers a range of rows: each row piece of the
-    range and each distinct column numeral of the chunk is formatted once,
-    and numpy gathers the pieces for one join per chunk.
+    The step's leaves are written a row group at a time (`_row_groups`).
+    An entry of a group starting at row `top` is keyed ((row - top) *
+    cols + col) * len(palette) + code, a plain int, so one sort orders
+    the group and each key gives back its entry.  A leaf's keys at offset
+    zero are made from its `_read` once per step, and a cached leaf's once
+    per step width, over all the steps one writer writes.  Each entry is
+    three pieces: its row piece, formatted once per row of a chunk, its
+    column numeral, and its entry piece, formatted from text(entry) once
+    per code the steps hold.
     """
-    import numpy as np
-
     sep, row, entry = pieces
-    cached, texts = {}, []  # cached leaves' arrays; code -> entry piece, None until a step holds it
+    kept, texts = {}, []  # cached leaves' keys; code -> entry piece, None until a step holds it
 
     def write(fh, step: SparseMatrixR) -> int:
-        keys, codes = _keyed(step, cached)
-        palette = step.ring.palette
-        texts.extend([None] * (len(palette) - len(texts)))
-        for code in _held(codes):
-            texts[code] = texts[code] or entry % text(palette[code])
-        order = np.argsort(keys)
-        pieces = np.array(texts, dtype=object)
-        for lo in range(0, order.size, _WRITE_CHUNK):
-            fh.write(joined(keys, codes, pieces, order[lo:lo + _WRITE_CHUNK], step.cols, lo == 0))
-        return order.size
+        palette, width = step.ring.palette, step.cols
+        size = len(palette)
+        texts.extend([None] * (size - len(texts)))
+        fresh: dict = {}  # the step's own leaves' keys
 
-    def joined(keys, codes, pieces, at, width: int, first: bool) -> str:
-        """The entries at positions `at` of keys and codes; the first of a step has no separator."""
-        r, c = np.divmod(keys[at], width)
-        r0, c0 = int(r[0]), int(c.min())
-        seen = np.zeros(int(c.max()) - c0 + 1, dtype=bool)
-        seen[c - c0] = True
-        heads = [row % i for i in range(r0, int(r[-1]) + 1)]
-        numerals = list(map(str, (np.flatnonzero(seen) + c0).tolist()))
-        # each entry's row piece, numeral and entry piece in the table of all three
-        index = np.empty((at.size, 3), dtype=np.intp)
-        index[:, 0] = r + (pieces.size - r0)
-        index[:, 1] = (np.cumsum(seen) + (pieces.size + len(heads) - 1))[c - c0]
-        index[:, 2] = codes[at]
-        table = np.concatenate([pieces, np.array(heads + numerals, dtype=object)])
-        out = table[index.ravel()].tolist()
+        def keys_of(leaf):
+            memo, key = (kept if leaf.cached else fresh), (id(leaf), width, size)
+            if key not in memo:
+                rows, cols, codes = _read(leaf)
+                for code in set(codes):
+                    texts[code] = texts[code] or entry % text(palette[code])
+                memo[key] = [(r * width + c) * size + v for r, c, v in zip(rows, cols, codes)]
+            return memo[key]
+
+        written = 0
+        for top, group in _row_groups(step):
+            keys = []
+            for leaf, r0, c0 in group:
+                shift = ((r0 - top) * width + c0) * size
+                keys += map(shift.__add__, keys_of(leaf))
+            keys.sort()
+            for lo in range(0, len(keys), _WRITE_CHUNK):
+                fh.write(joined(keys[lo:lo + _WRITE_CHUNK], top, width, size, written + lo == 0))
+            written += len(keys)
+        return written
+
+    def joined(keys: list, top: int, width: int, size: int, first: bool) -> str:
+        """The entries of sorted keys of a group at row top; the first of a step has no separator."""
+        out, last = [], -1
+        for key in keys:
+            pos, code = divmod(key, size)
+            r, c = divmod(pos, width)
+            if r != last:
+                head, last = row % (top + r), r
+            out += (head, str(c), texts[code])
         if first:
             out[0] = out[0][len(sep):]
         return "".join(out)
     return write
 
 
-def _keyed(mat: SparseMatrixR, cached: dict) -> tuple:
-    """Position keys row * mat.cols + col and intp codes of mat's entries, unordered.
+def _row_groups(mat: SparseMatrixR):
+    """(first row, [(leaf, row offset, column offset)]) for each row group of mat, in row order.
 
-    mat's own grids are walked, not concatenated: each cached node and
-    fresh leaf below them (`_parts`) gives its arrays (`_arrays`, with
-    the memo `cached`), and these go straight into the result.
+    mat's leaves that hold entries (`_parts`) are sorted by their first
+    row, and leaves whose row ranges overlap fall in one group, so the
+    groups cover disjoint ranges of rows.
     """
-    import numpy as np
-
-    if mat.rows * mat.cols > np.iinfo(np.intp).max:
-        raise OverflowError(f"a {mat.rows}x{mat.cols} matrix has more positions than intp holds")
-    memo: dict = {}
-    parts = [(_arrays(node, memo, cached), r0 * mat.cols + c0)
-             for node, r0, c0 in _parts(mat, 0, 0, True)]
-    keys = np.empty(sum(vals.size for (_, _, vals), _ in parts), np.intp)
-    at = 0
-    for (rows, cols, vals), shift in parts:
-        out = keys[at:at + vals.size]
-        np.multiply(rows, mat.cols, out=out)
-        out += cols + shift
-        at += vals.size
-    return keys, np.concatenate([vals for (_, _, vals), _ in parts] or [np.empty(0, np.intp)])
+    group, end = [], 0
+    for part in sorted((part for part in _parts(mat) if part[0].entries), key=lambda part: part[1]):
+        if group and part[1] >= end:
+            yield group[0][1], group
+            group = []
+        group.append(part)
+        end = max(end, part[1] + part[0].rows)
+    if group:
+        yield group[0][1], group
 
 
-def _parts(mat: SparseMatrixR, r0: int, c0: int, whole_cached: bool):
-    """(node, row offset, column offset) of each leaf that makes up mat.
-
-    With `whole_cached`, a cached grid is one part too, and its blocks
-    are not walked into.
-    """
-    if mat.blocks is None or (whole_cached and mat.cached):
+def _parts(mat: SparseMatrixR, r0: int = 0, c0: int = 0):
+    """(leaf, row offset, column offset) of each leaf that makes up mat, in block order."""
+    if mat.blocks is None:
         yield mat, r0, c0
     else:
         for (i, j), part in mat.blocks.items():
-            yield from _parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j],
-                              whole_cached)
+            yield from _parts(part, r0 + mat.row_starts[i], c0 + mat.col_starts[j])
 
 
 def _shared(build):

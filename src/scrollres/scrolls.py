@@ -174,6 +174,6 @@ def minor_generators(spec: ScrollSpec) -> tuple[Binomial, ...]:
 
 
 # The faults `checks.inject_fault` can plant in a resolution.  They are
-# named here, in the numpy-free layer, so that the CLI can offer them as
-# `verify --inject-fault` choices without loading `checks`.
+# named here, in the layer `import scrollres` runs, so that the CLI can
+# offer them as `verify --inject-fault` choices without loading `checks`.
 FAULT_KINDS = ("sign_flip", "variable_swap", "unit_insert")

@@ -1,8 +1,8 @@
 """What `import scrollres` runs, and what the package exports.
 
-The closed forms (betti, hilbert, faces) live in the numpy-free layer;
-linalg, resolution, checks and oracle run on first use, and only the
-resolve writer loads numpy.  Which modules a process has loaded is
+The closed forms (betti, hilbert, faces) live in the layer `import
+scrollres` runs; linalg, resolution, checks and oracle run on first use,
+and no subcommand loads numpy.  Which modules a process has loaded is
 only visible from a fresh interpreter, so those tests run one.
 """
 import json
@@ -73,26 +73,22 @@ def test_ring_only_checks_load_no_numpy():
         "stderr": "error: modulus 4 is not a prime p with 3 <= p < 2**26\n"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["resolve", "--scroll", "3,3", "--steps", "2"],
-    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
-    ["oracle", "--scroll", "3,3", "--imax", "2"],
-    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"],
-])
-def test_finite_field_subcommands_load_numpy(argv):
-    """Whether each F_p subcommand loads numpy: only the resolve writer,
-    which still gathers with numpy, does."""
-    numpy = argv[0] == "resolve"
-    assert run_fresh([argv]) == {"rcs": [0], "numpy": numpy, "stderr": ""}
-
-
-def test_finite_field_subcommands_load_no_numpy():
-    """The oracle and the rank probes run their F_p work on the standard library."""
-    argvs = [["oracle", "--scroll", "3,3", "--imax", "2"],
+def test_finite_field_subcommands_load_no_numpy(tmp_path):
+    """The oracle, the rank probes and the resolve writer, to stdout and
+    to --out in both formats, run on the standard library."""
+    resolve = ["resolve", "--scroll", "3,3", "--steps", "2"]
+    out = {fmt: tmp_path / f"res.{fmt}" for fmt in ("json", "text")}
+    argvs = [resolve,
+             resolve + ["--format", "text"],
+             resolve + ["--out", str(out["json"])],
+             resolve + ["--format", "text", "--out", str(out["text"])],
+             ["oracle", "--scroll", "3,3", "--imax", "2"],
              ["oracle", "--compare", "--scroll", "2,2,2", "--imax", "3"],
              ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
              ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"]]
     assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False, "stderr": ""}
+    assert json.loads(out["json"].read_text())["ranks"] == ["1", "6", "21"]
+    assert out["text"].read_text().startswith("# step 1: 1 x 6\n")
 
 
 def test_public_api_is_unchanged():

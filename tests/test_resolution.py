@@ -11,7 +11,7 @@ from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
                               check_phi_ranks, inject_fault, scroll_point)
 from scrollres.ring import ScrollRing, ring_for
 from scrollres.resolution import (MAX_FREE_RANK, MAX_STEPS, Resolution, SparseMatrixR,
-                                  _arrays, _grid, _per_node, _phi, _sizes,
+                                  _grid, _parts, _per_node, _phi, _read, _sizes,
                                   alpha, direct_sum, field_resolution,
                                   phi, phi0, phi1, phi2, resolution_of, staircase,
                                   u_block, v_block)
@@ -491,12 +491,14 @@ def test_streamed_output_empty_step_and_fraction(monkeypatch):
         assert_streams_match_reference(Resolution(S33, "field", [], [1]))
 
 
-def test_positions_beyond_intp_are_refused():
+def test_positions_beyond_intp_are_streamed():
+    """Positions are Python ints, so a matrix with more positions than a
+    machine integer holds streams like any other."""
     ring = ring_for(S33)
-    huge = SparseMatrixR(ring, 2**32, 2**32, [((2**32 - 1, 0), ring.one())])
-    assert huge.to_json_obj()["entries"] == [[2**32 - 1, 0, "1"]]
-    with pytest.raises(OverflowError):
-        streamed(Resolution(S33, "field", [huge], [2**32, 2**32]), "text")
+    huge = SparseMatrixR(ring, 2**32, 2**32, [((2**32 - 1, 0), ring.one()),
+                                              ((0, 2**32 - 1), ring.var_elem(1))])
+    assert huge.to_json_obj()["entries"] == [[0, 2**32 - 1, "x1"], [2**32 - 1, 0, "1"]]
+    assert_streams_match_reference(Resolution(S33, "field", [huge], [2**32, 2**32]))
 
 
 def test_one_write_formats_each_element_once(monkeypatch):
@@ -517,6 +519,27 @@ def test_one_write_formats_each_element_once(monkeypatch):
         calls.clear()
         streamed(res, fmt)
         assert sorted(calls) == sorted(objects)
+
+
+@pytest.mark.parametrize("blocks", [(2, 2), (3, 3), (4, 5), (7, 2)])
+def test_row_groups_cover_disjoint_row_ranges(blocks):
+    """The writer's groups hold every leaf with entries once, by first row;
+    a leaf starts a group exactly where no earlier leaf's rows reach."""
+    res = field_resolution(build_scroll(list(blocks)), 6)
+    for step in res.steps + [inject_fault(res, kind).steps[3] for kind in FAULT_KINDS]:
+        parts = [part for part in _parts(step) if part[0].entries]
+        groups = list(resolution._row_groups(step))
+        flat = [part for _, group in groups for part in group]
+        placed = sorted((id(leaf), r0, c0) for leaf, r0, c0 in parts)
+        assert sorted((id(leaf), r0, c0) for leaf, r0, c0 in flat) == placed
+        assert [r0 for _, r0, _ in flat] == sorted(r0 for _, r0, _ in parts)
+        end = 0
+        for top, group in groups:
+            assert top == group[0][1] >= end
+            for leaf, r0, _ in group:
+                assert r0 == top or r0 < end
+                end = max(end, r0 + leaf.rows)
+        assert sum(len(leaf.entries) for leaf, _, _ in flat) == len(step.entries)
 
 
 def test_one_write_keeps_no_fault_beyond_its_step():
@@ -591,16 +614,17 @@ def test_evaluation_guard_refuses_no_step_that_is_built():
 
 def test_evaluation_is_refused_before_any_array_is_built(monkeypatch):
     def materialise(*args):
-        raise AssertionError("an array was built")
-    monkeypatch.setattr(resolution, "_arrays", materialise)
+        raise AssertionError("a leaf was read")
     step = field_resolution(S33, 3).steps[2]
-    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", len(step.entries) - 1)
-    error = (f"resource guard: evaluating a {step.rows}x{step.cols} F_p block holds more "
-             f"than the supported {len(step.entries) - 1} entries")
-    with pytest.raises(ValueError) as err:
-        step.eval_modp(scroll_point(S33, random.Random(0), 101), 101)
-    assert str(err.value) == error
-    # only the largest matrix is refused; a probe of any other reaches `_arrays`
+    with monkeypatch.context() as patch:
+        patch.setattr(resolution, "_read", materialise)
+        patch.setattr(linalg, "MAX_HELD_ENTRIES", len(step.entries) - 1)
+        error = (f"resource guard: evaluating a {step.rows}x{step.cols} F_p block holds more "
+                 f"than the supported {len(step.entries) - 1} entries")
+        with pytest.raises(ValueError) as err:
+            step.eval_modp(scroll_point(S33, random.Random(0), 101), 101)
+        assert str(err.value) == error
+    # only the largest matrix is refused; a probe of any other reads its leaves
     mats = [phi(S33, i) for i in range(4)] + [staircase(S33, d) for d in range(2, 6)]
     largest = max(mats, key=lambda mat: len(mat.entries))
     monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", len(largest.entries) - 1)
@@ -978,8 +1002,9 @@ def test_piece_view_and_arrays_match_the_copy(blocks):
         a = mat.eval_modp(vals, p)
         assert sorted(zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist())) == \
             sorted((r, c, e.eval_modp(vals, p)) for (r, c), e in ref.items())
-        # the writer's arrays, codes included
-        assert list(zip(*(x.tolist() for x in _arrays(mat, {})))) == \
+        # the leaf reader, codes included, at each leaf's offsets
+        assert [(r0 + r, c0 + c, code) for leaf, r0, c0 in _parts(mat)
+                for r, c, code in zip(*_read(leaf))] == \
             [(r, c, e.code) for (r, c), e in ref.items()]
 
 
