@@ -73,6 +73,18 @@ def test_ring_only_checks_load_no_numpy():
         "stderr": "error: modulus 4 is not a prime p with 3 <= p < 2**26\n"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--scroll", "3,3", "--steps", "2"],
+    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
+    ["oracle", "--scroll", "3,3", "--imax", "2"],
+    ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"],
+])
+def test_finite_field_subcommands_load_numpy(argv):
+    """Whether each F_p subcommand, alone in its interpreter, loads numpy:
+    none does, the resolve writer included."""
+    assert run_fresh([argv]) == {"rcs": [0], "numpy": False, "stderr": ""}
+
+
 def test_finite_field_subcommands_load_no_numpy(tmp_path):
     """The oracle, the rank probes and the resolve writer, to stdout and
     to --out in both formats, run on the standard library."""
