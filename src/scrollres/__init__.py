@@ -1,11 +1,13 @@
 """Betti numbers and explicit minimal free resolutions over rational normal scrolls.
 
-`import scrollres` runs only the closed-form layer: `scrolls`, `ring` and
-`series`.  `linalg`, `resolution`, `checks` and `oracle` are registered in
-`sys.modules` as lazy modules that run on their first attribute access,
-and the names re-exported from them are served on demand, so the closed
-forms start without them.  Every module runs on the standard library:
-no subcommand loads numpy.
+`import scrollres` runs only the closed-form layer: `scrolls` and
+`series`.  `ring`, `linalg`, `resolution`, `checks` and `oracle` are
+registered in `sys.modules` as lazy modules that run on their first
+attribute access, and the names re-exported from them are served on
+demand, so the closed forms start without them, and without the
+`fractions` module the ring's coefficients need.  Every module runs on
+the standard library: no subcommand loads numpy, and none loads
+`dataclasses`.
 """
 
 import sys as _sys
@@ -14,7 +16,6 @@ from importlib.util import find_spec as _find_spec
 from importlib.util import module_from_spec as _module_from_spec
 
 from .scrolls import Binomial, ScrollSpec, VarIndex, build_scroll, minor_generators, scroll_matrix, toric_matrix
-from .ring import Element, ScrollRing, adegree, is_standard, normal_form, ring_for, standard_monomials
 from .series import (FaceVector, IntSeries, RationalForm, betti, betti_tail,
                      delta_facets, face_numbers, hilbert_coefficients,
                      hilbert_series, initial_ideal_generators, koszul_defect,
@@ -31,12 +32,15 @@ def _lazy_module(name: str):
     return module
 
 
+ring = _lazy_module("ring")
 linalg = _lazy_module("linalg")
 resolution = _lazy_module("resolution")
 checks = _lazy_module("checks")
 oracle = _lazy_module("oracle")
 
 _LAZY_EXPORTS = {
+    ring: ("Element", "ScrollRing", "adegree", "is_standard", "normal_form", "ring_for",
+           "standard_monomials"),
     resolution: ("Resolution", "SparseMatrixR", "alpha", "direct_sum",
                  "field_resolution", "phi", "phi0", "phi1", "phi2",
                  "resolution_of", "staircase", "u_block", "v_block"),

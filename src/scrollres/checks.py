@@ -20,9 +20,9 @@ and the certificate records which ones succeed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import linalg
+from ._record import Record
 from .primes import require_prime_modulus
 from .resolution import Resolution, SparseMatrixR, _ProductRun, phi, staircase
 from .ring import Element, ring_for
@@ -30,14 +30,18 @@ from .scrolls import FAULT_KINDS, ScrollSpec
 from .series import hilbert_coefficients
 
 
-@dataclass
-class CheckReport:
-    name: str
-    target: str
-    ok: bool
-    details: dict = field(default_factory=dict)
-    modulus: int | None = None
-    seed: int | None = None
+class CheckReport(Record):
+    """One check's verdict on one target, with what it found."""
+    __slots__ = ("name", "target", "ok", "details", "modulus", "seed")
+
+    def __init__(self, name: str, target: str, ok: bool, details: dict | None = None,
+                 modulus: int | None = None, seed: int | None = None):
+        self.name = name
+        self.target = target
+        self.ok = ok
+        self.details = {} if details is None else details
+        self.modulus = modulus
+        self.seed = seed
 
     def to_json_obj(self) -> dict:
         return {
@@ -62,16 +66,21 @@ def _stringify(obj):
     return obj if isinstance(obj, str) else str(obj)
 
 
-@dataclass
-class RankReport:
-    matrix_id: str
-    claimed: int | None
-    probe: int
-    trials: int
-    probes_run: int
-    modulus: int
-    seed: int
-    trial_seeds: list[int]
+class RankReport(Record):
+    """The largest rank the probes of one matrix found, and how they ran."""
+    __slots__ = ("matrix_id", "claimed", "probe", "trials", "probes_run", "modulus",
+                 "seed", "trial_seeds")
+
+    def __init__(self, matrix_id: str, claimed: int | None, probe: int, trials: int,
+                 probes_run: int, modulus: int, seed: int, trial_seeds: list[int]):
+        self.matrix_id = matrix_id
+        self.claimed = claimed
+        self.probe = probe
+        self.trials = trials
+        self.probes_run = probes_run
+        self.modulus = modulus
+        self.seed = seed
+        self.trial_seeds = trial_seeds
 
     @property
     def ok(self) -> bool:
@@ -287,16 +296,22 @@ def groebner_consistency(spec: ScrollSpec, dmax: int) -> CheckReport:
 
 # -- minor certificates ---------------------------------------------------
 
-@dataclass
-class MinorCertificate:
-    target: str
-    var_index: int
-    rows: list[int]          # 1-based, in recipe order
-    cols: list[int]          # 1-based
-    minor: Element | None
-    expected_power: int
-    status: str              # "ok", "ambiguous" or "failed"
-    readings: list[str] = field(default_factory=list)
+class MinorCertificate(Record):
+    """A submatrix whose determinant is a pure power of one variable, or why not."""
+    __slots__ = ("target", "var_index", "rows", "cols", "minor", "expected_power",
+                 "status", "readings")
+
+    def __init__(self, target: str, var_index: int, rows: list[int], cols: list[int],
+                 minor: Element | None, expected_power: int, status: str,
+                 readings: list[str] | None = None):
+        self.target = target
+        self.var_index = var_index
+        self.rows = rows                # 1-based, in recipe order
+        self.cols = cols                # 1-based
+        self.minor = minor
+        self.expected_power = expected_power
+        self.status = status            # "ok", "ambiguous" or "failed"
+        self.readings = [] if readings is None else readings
 
     @property
     def ok(self) -> bool:

@@ -19,8 +19,8 @@ import math
 import os
 import sys
 
-# the package registers these four lazily: through the module objects,
-# betti, hilbert and faces run without loading them
+# the package registers these three, ring and linalg as lazy modules:
+# through the module objects, betti, hilbert and faces load none of the five
 from . import checks, oracle, resolution
 from .primes import require_prime_modulus
 from .scrolls import FAULT_KINDS, ScrollSpec, build_scroll

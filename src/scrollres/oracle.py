@@ -29,10 +29,10 @@ and gives rank (d_i)_{i+1}; an empty kernel makes all later entries 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 
+from ._record import Record
 from .linalg import Entries, nullspace_modp, rank_modp
 from .primes import require_prime_modulus
 from .ring import ring_for
@@ -43,11 +43,14 @@ _MAX_N = 7
 _MAX_IMAX = 5
 
 
-@dataclass
-class BettiTable:
-    modulus: int
-    entries: dict = field(default_factory=dict)  # (i, j) -> int
-    imax: int = 0
+class BettiTable(Record):
+    """Graded Betti numbers computed over F_modulus, homological index <= imax."""
+    __slots__ = ("modulus", "entries", "imax")
+
+    def __init__(self, modulus: int, entries: dict | None = None, imax: int = 0):
+        self.modulus = modulus
+        self.entries = {} if entries is None else entries  # (i, j) -> int
+        self.imax = imax
 
     def get(self, i: int, j: int) -> int | None:
         return self.entries.get((i, j))

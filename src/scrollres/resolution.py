@@ -92,12 +92,12 @@ import json
 from array import array
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import accumulate, chain
 from types import MappingProxyType
 
 from . import linalg
+from ._record import Record
 from .scrolls import ScrollSpec, scroll_matrix
 from .ring import Element, ScrollRing, ring_for
 from .series import betti
@@ -753,16 +753,17 @@ def alpha(spec: ScrollSpec, i: int) -> SparseMatrixR:
     return direct_sum([_phi(spec, i, (m + 1, 1))] * (m - 1) + [_phi(spec, i, (m, -1))] * (p - 1))
 
 
-@dataclass
-class Resolution:
+class Resolution(Record):
     """A chain of differentials with their free-module ranks."""
-    spec: ScrollSpec
-    target: str  # "field", "J", "I1" or "I2"
-    steps: list[SparseMatrixR]
-    ranks: list[int]
-    provenance: list[str] = field(default_factory=list)
+    __slots__ = ("spec", "target", "steps", "ranks", "provenance")
 
-    def __post_init__(self):
+    def __init__(self, spec: ScrollSpec, target: str, steps: list[SparseMatrixR],
+                 ranks: list[int], provenance: list[str] | None = None):
+        self.spec = spec
+        self.target = target  # "field", "J", "I1" or "I2"
+        self.steps = steps
+        self.ranks = ranks
+        self.provenance = [] if provenance is None else provenance
         for a, b in zip(self.steps, self.steps[1:]):
             if a.cols != b.rows:
                 raise ValueError(

@@ -9,16 +9,20 @@ binomials with their lex-leading term first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+from ._record import Frozen
 
 Monomial = tuple[int, ...]  # exponent vector over x_1..x_n
 
 
-@dataclass(frozen=True)
-class ScrollSpec:
-    blocks: tuple[int, ...]
+class ScrollSpec(Frozen):
+    """The block sizes (m_1, ..., m_k) of a scroll."""
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[int, ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k(self) -> int:
@@ -63,22 +67,26 @@ class ScrollSpec:
         return "(" + ",".join(map(str, self.blocks)) + ")"
 
 
-@dataclass(frozen=True)
-class VarIndex:
+class VarIndex(Frozen):
     """One variable, addressed both by (block, position) and flat index."""
-    block: int
-    pos: int
-    flat: int
+    __slots__ = ("block", "pos", "flat")
+
+    def __init__(self, block: int, pos: int, flat: int):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "flat", flat)
 
     def __str__(self) -> str:
         return f"x{self.flat}"
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Frozen):
     """Difference of two monomials; `plus` is the lex-leading term."""
-    plus: Monomial
-    minus: Monomial
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: Monomial, minus: Monomial):
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
     def __str__(self) -> str:
         return f"{format_monomial(self.plus)} - {format_monomial(self.minus)}"

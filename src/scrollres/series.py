@@ -16,17 +16,19 @@ oracle), see README.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import Frozen
 from .scrolls import Monomial, ScrollSpec
 
 
-@dataclass(frozen=True)
-class FaceVector:
+class FaceVector(Frozen):
     """Face counts f_{-1}, f_0, ..., f_k."""
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]):
+        object.__setattr__(self, "counts", counts)
 
     def f(self, d: int) -> int:
         """Number of d-dimensional faces; d ranges over -1..k."""
@@ -37,15 +39,15 @@ class FaceVector:
         return self.counts[d + 1]
 
 
-@dataclass(frozen=True)
-class RationalForm:
+class RationalForm(Frozen):
     """numerator / denominator, coefficients ascending in t."""
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if not self.den or self.den[0] not in (1, -1):
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]):
+        if not den or den[0] not in (1, -1):
             raise ValueError("denominator must have a unit constant term")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def series(self, order: int) -> "IntSeries":
         if order < 0:
@@ -53,15 +55,15 @@ class RationalForm:
         return IntSeries(tuple(_series_divide(self.num, self.den, order)), order)
 
 
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(Frozen):
     """Truncated integer power series c_0..c_N (exact, arbitrary size)."""
-    coefficients: tuple[int, ...]
-    order: int
+    __slots__ = ("coefficients", "order")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
+    def __init__(self, coefficients: tuple[int, ...], order: int):
+        if len(coefficients) != order + 1:
             raise ValueError("coefficient count does not match the order")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "order", order)
 
     def __getitem__(self, i: int) -> int:
         return self.coefficients[i]

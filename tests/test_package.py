@@ -1,9 +1,10 @@
 """What `import scrollres` runs, and what the package exports.
 
 The closed forms (betti, hilbert, faces) live in the layer `import
-scrollres` runs; linalg, resolution, checks and oracle run on first use,
-and no subcommand loads numpy.  Which modules a process has loaded is
-only visible from a fresh interpreter, so those tests run one.
+scrollres` runs; ring, linalg, resolution, checks and oracle run on first
+use, and no subcommand loads numpy or dataclasses.  Which modules a
+process has loaded is only visible from a fresh interpreter, so those
+tests run one.
 """
 import json
 import os
@@ -35,17 +36,24 @@ PUBLIC = [
 ]
 
 # runs each argv through the CLI in a fresh interpreter and reports the
-# exit codes and whether numpy was loaded; run_fresh adds the stderr
+# exit codes and which of the watched modules ran; a lazy module that has
+# not run is still a _LazyModule.  run_fresh adds the stderr
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import scrollres, scrollres.cli
-assert "numpy" not in sys.modules, "import scrollres.cli loaded numpy"
-lazy = ["scrollres." + m for m in ("linalg", "resolution", "checks", "oracle")]
+watched = ("dataclasses", "fractions", "numpy", "scrollres.ring")
+def loaded():
+    return [m for m in watched if type(sys.modules.get(m)) is types.ModuleType]
+assert loaded() == [], f"import scrollres.cli ran {loaded()}"
+lazy = ["scrollres." + m for m in ("ring", "linalg", "resolution", "checks", "oracle")]
 assert all(m in sys.modules for m in lazy), "a lazy module is not registered"
 with contextlib.redirect_stdout(io.StringIO()):
     rcs = [scrollres.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"rcs": rcs, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"rcs": rcs, "loaded": loaded()}))
 """
+# what every subcommand beyond the closed forms loads: the ring, whose
+# coefficients may be Fractions
+RING = ["fractions", "scrollres.ring"]
 
 
 def run_fresh(argvs):
@@ -58,7 +66,21 @@ def run_fresh(argvs):
 def test_closed_forms_load_no_numpy():
     argvs = [[cmd, "--scroll", "3,3", "--format", fmt]
              for cmd in ("betti", "hilbert", "faces") for fmt in ("text", "json")]
-    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False, "stderr": ""}
+    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "loaded": [], "stderr": ""}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["betti", "--scroll", "3,3"], []),
+    (["hilbert", "--scroll", "3,3", "--format", "json"], []),
+    (["faces", "--scroll", "2,2,2"], []),
+    (["resolve", "--scroll", "3,3", "--steps", "2"], RING),
+    (["verify", "--scroll", "3,3", "--steps", "3"], RING),
+    (["oracle", "--scroll", "3,3", "--imax", "2"], RING),
+], ids=["betti", "hilbert", "faces", "resolve", "verify", "oracle"])
+def test_each_subcommand_loads_no_dataclasses(argv, loaded):
+    """Alone in its interpreter, no subcommand loads dataclasses, and the
+    closed forms load neither the ring nor fractions."""
+    assert run_fresh([argv]) == {"rcs": [0], "loaded": loaded, "stderr": ""}
 
 
 def test_ring_only_checks_load_no_numpy():
@@ -69,7 +91,7 @@ def test_ring_only_checks_load_no_numpy():
              verify + ["--inject-fault", "unit_insert", "--checks", "complex,minimal"],
              verify + ["--checks", "complex", "--modulus", "4"]]
     assert run_fresh(argvs) == {
-        "rcs": [0, 0, 1, 2], "numpy": False,
+        "rcs": [0, 0, 1, 2], "loaded": RING,
         "stderr": "error: modulus 4 is not a prime p with 3 <= p < 2**26\n"}
 
 
@@ -82,7 +104,7 @@ def test_ring_only_checks_load_no_numpy():
 def test_finite_field_subcommands_load_numpy(argv):
     """Whether each F_p subcommand, alone in its interpreter, loads numpy:
     none does, the resolve writer included."""
-    assert run_fresh([argv]) == {"rcs": [0], "numpy": False, "stderr": ""}
+    assert run_fresh([argv]) == {"rcs": [0], "loaded": RING, "stderr": ""}
 
 
 def test_finite_field_subcommands_load_no_numpy(tmp_path):
@@ -98,7 +120,7 @@ def test_finite_field_subcommands_load_no_numpy(tmp_path):
              ["oracle", "--compare", "--scroll", "2,2,2", "--imax", "3"],
              ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "exact"],
              ["verify", "--scroll", "3,3", "--steps", "3", "--checks", "ranks"]]
-    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "numpy": False, "stderr": ""}
+    assert run_fresh(argvs) == {"rcs": [0] * len(argvs), "loaded": RING, "stderr": ""}
     assert json.loads(out["json"].read_text())["ranks"] == ["1", "6", "21"]
     assert out["text"].read_text().startswith("# step 1: 1 x 6\n")
 
