@@ -10,6 +10,19 @@ rank never exceeds the rank over the ring's fraction field and equals it
 with high probability.  Probes record modulus and seeds and are rerun
 with fresh seeds before a failure is reported.
 
+A grid whose row and column bands pair up, each pair holding its
+diagonal block, and whose off-diagonal blocks (i, j), read as edges
+i -> j, form an acyclic graph is block upper-triangular once its bands
+are reordered, so its rank is at least the sum of its diagonal blocks'
+ranks.  That covers the mapping-cone steps from step 3 on, phi2's three
+bands and every direct sum.  `_rank_bound` reads this lower bound from
+the block tree, evaluating only the leaves and other nodes on the
+diagonals, once per distinct node and point; alpha is never evaluated.
+The exactness probes end a trial with it only when it equals a claimed
+rank that is proved an upper bound over Frac(R) (`check_exactness`):
+the flat rank at that point lies between the two, so it is the same
+number.  A probe still certifies only a lower bound.
+
 Exact minor certificates: for the staircase and the first three phi
 matrices, fixed row/column recipes cut out submatrices that are
 triangular up to permutation with determinant a signed pure power of one
@@ -118,11 +131,19 @@ def probe_rank(
     seed: int = 0,
     claimed: int | None = None,
     matrix_id: str = "",
+    proven: bool = False,
 ) -> RankReport:
     """Max F_q-rank of the matrix over `trials` random scroll points.
 
     When `claimed` is a known upper bound for the true rank, probing
     stops as soon as it is attained; the max over trials is unchanged.
+    `proven` says that `claimed` is proved an upper bound on the rank
+    over Frac(R).  Then, on a block upper-triangular grid whose every
+    value has an image mod p, a trial whose block-tree bound
+    (`_rank_bound`) equals `claimed` ends with it: the flat rank at that
+    point lies between the two.  Every other trial evaluates the whole
+    matrix and takes its flat rank.  Either way the probe is a lower
+    bound on the rank over Frac(R), no more.
     """
     require_prime_modulus(modulus, 3)
     if trials < 1:
@@ -131,25 +152,81 @@ def probe_rank(
     master = random.Random(seed)
     trial_seeds = []
     best = 0
+    tree = proven and _diagonal(mat) is not None and _has_images(mat, modulus)
     while len(trial_seeds) < trials:
         trial_seeds.append(master.randrange(2**32))
         vals = scroll_point(spec, random.Random(trial_seeds[-1]), modulus)
-        best = max(best, linalg.rank_modp(mat.eval_modp(vals, modulus), modulus))
+        if tree and _rank_bound(mat, vals, modulus, {}) == claimed:
+            rank = claimed
+        else:
+            rank = linalg.rank_modp(mat.eval_modp(vals, modulus), modulus)
+        best = max(best, rank)
         if claimed is not None and best >= claimed:
             break
     return RankReport(matrix_id, claimed, best, trials, len(trial_seeds),
                       modulus, seed, trial_seeds)
 
 
-def check_complex(res: Resolution) -> CheckReport:
+def _diagonal(mat: SparseMatrixR) -> list[SparseMatrixR] | None:
+    """The diagonal blocks of a grid that is block upper-triangular up to a reordering, else None.
+
+    The row and column bands must be as many, every diagonal block
+    present, and the off-diagonal blocks (i, j), as edges i -> j, must
+    leave no cycle: bands that no remaining edge enters are peeled off
+    until none are left.
+    """
+    if mat.blocks is None or len(mat.row_starts) != len(mat.col_starts):
+        return None
+    bands = range(len(mat.row_starts))
+    if any((k, k) not in mat.blocks for k in bands):
+        return None
+    left = set(bands)
+    while left:
+        sources = left.difference([j for i, j in mat.blocks if i != j and i in left])
+        if not sources:
+            return None  # a cycle among the bands left
+        left -= sources
+    return [mat.blocks[k, k] for k in bands]
+
+
+def _has_images(mat: SparseMatrixR, p: int) -> bool:
+    """Whether every value mat holds has an image mod p.
+
+    A coefficient whose denominator p divides has none, so the flat rank
+    is undefined and the flat path refuses the matrix; the block-tree
+    bound, which skips the off-diagonal blocks, must not stand in for it.
+    """
+    palette = mat.ring.palette
+    return all(c.denominator % p for code in mat.codes() for c in palette[code].terms.values())
+
+
+def _rank_bound(mat: SparseMatrixR, vals: list[int], p: int, memo: dict) -> int:
+    """A lower bound on the F_p rank of mat at vals, read from its block tree.
+
+    A block upper-triangular grid (`_diagonal`) gets the sum of its
+    diagonal blocks' bounds; any other node, a leaf included, is
+    evaluated and its rank taken.  `memo` keeps each distinct node's
+    bound at this point, by node id.
+    """
+    key = id(mat)
+    if key not in memo:
+        diagonal = _diagonal(mat)
+        memo[key] = (linalg.rank_modp(mat.eval_modp(vals, p), p) if diagonal is None
+                     else sum(_rank_bound(part, vals, p, memo) for part in diagonal))
+    return memo[key]
+
+
+def check_complex(res: Resolution, run: _ProductRun | None = None) -> CheckReport:
     """Every consecutive product reduces to zero entrywise.
 
     One product memo serves the whole check, so block and value pairs
-    that recur from step to step are multiplied once.
+    that recur from step to step are multiplied once.  `run` is that
+    memo, shared with `check_exactness` across one `verify` call; without
+    one the check makes its own.
     """
-    run = _ProductRun()
-    for i, pair in enumerate(zip(res.steps, res.steps[1:])):
-        prod = run.product((pair,))
+    run = _ProductRun() if run is None else run
+    for i, (a, b) in enumerate(zip(res.steps, res.steps[1:])):
+        prod = run.residual(a, b)
         if prod.entries:
             (r, c), e = min(prod.entries.items())
             return CheckReport(
@@ -195,22 +272,57 @@ def check_exactness(
     modulus: int = 32003,
     trials: int = 5,
     seed: int = 0,
+    run: _ProductRun | None = None,
 ) -> CheckReport:
     """Probe rank(step i) + rank(step i+1) == cols(step i), 1-based i.
 
     Up to three attempts, each with fresh seeds, before the check fails.
+    Both steps pass `require_evaluable` before any probe.
+
+    A step's claimed rank is proved an upper bound on its rank over
+    Frac(R) when the step before composes with it to zero in R and some
+    lower bound of that step's rank reaches its own claim: the columns of
+    d_{k+1} then lie in the kernel of d_k, of dimension rows(d_{k+1}) -
+    rank(d_k), and that is at most the claim.  For step i the lower
+    bound is step i-1's block-tree bound (`_rank_bound`) at one scroll
+    point drawn from `seed`, for step i+1 it is step i's probe.  Only a
+    pair of block upper-triangular steps is multiplied for a proof, so on
+    the field resolution the first step proved is step 4.  With the proof
+    a probe may end a trial with its block-tree bound (`probe_rank`'s
+    `proven`), which then equals the flat rank, so the report is the one
+    the flat ranks give.  The d∘d verdicts come from `run`, shared with
+    `check_complex` across one `verify` call; without one the check
+    makes its own.
     """
     if not 1 <= i < len(res.steps):
         raise ValueError(f"step index {i} out of range")
     expect = claimed_ranks(res)
     a, b = res.steps[i - 1], res.steps[i]
+    a.require_evaluable()
+    b.require_evaluable()
+    run = _ProductRun() if run is None else run
+    # a premise is taken only where both steps of its pair are block
+    # upper-triangular: their product then comes down to products of the
+    # shared nodes, while the product of steps 2 and 3 joins step 2's flat
+    # staircases whole, which on a wide scroll costs more than the flat
+    # probes of step 3 it would spare (3x the time of `verify --scroll
+    # 30,30 --steps 3 --checks exact`)
+    prev = res.steps[i - 2] if i > 1 else None
+    tri_prev, tri_a, tri_b = (step is not None and _diagonal(step) is not None
+                              for step in (prev, a, b))
+    a_proven = (tri_prev and tri_a and not run.residual(prev, a).entries
+                and _has_images(prev, modulus)
+                and _rank_bound(prev, scroll_point(prev.ring.spec, random.Random(seed), modulus),
+                                modulus, {}) >= expect[i - 2])
     report: dict = {"cols": a.cols}
     for attempt in range(3):
         s = seed + 10007 * attempt
         ra = probe_rank(a, trials, modulus, s, claimed=expect[i - 1],
-                        matrix_id=f"step{i}")
+                        matrix_id=f"step{i}", proven=a_proven)
+        b_proven = (tri_a and tri_b and ra.probe >= expect[i - 1]
+                    and not run.residual(a, b).entries)
         rb = probe_rank(b, trials, modulus, s + 1, claimed=expect[i],
-                        matrix_id=f"step{i + 1}")
+                        matrix_id=f"step{i + 1}", proven=b_proven)
         report.update(
             rank_lo=ra.probe, rank_hi=rb.probe,
             probes=[ra.to_json_obj(), rb.to_json_obj()], attempts=attempt + 1,

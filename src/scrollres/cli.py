@@ -31,18 +31,19 @@ USAGE_ERROR = 2
 # and hilbert take 1.0-4.0 s and 94-254 MB, and both grow linearly
 MAX_INDEX = 10**6
 
-# the checks `verify` runs, each a function of the resolution and the
-# arguments giving its JSON reports; the first four are the default
+# the checks `verify` runs, each a function of the resolution, the
+# arguments and the call's one product memo (`complex` and `exact` share
+# its d∘d verdicts) giving its JSON reports; the first four are the default
 VERIFY = {
-    "complex": lambda res, a: [checks.check_complex(res).to_json_obj()],
-    "minimal": lambda res, a: [checks.check_minimality(res).to_json_obj()],
-    "exact": lambda res, a: [checks.check_exactness(res, i, a.modulus, a.trials,
-                                                    a.seed).to_json_obj()
-                             for i in range(1, len(res.steps))],
-    "minors": lambda res, a: checks.minor_reports(a.scroll, a.seed),
-    "ranks": lambda res, a: [rep.to_json_obj() for rep in checks.check_phi_ranks(
+    "complex": lambda res, a, run: [checks.check_complex(res, run).to_json_obj()],
+    "minimal": lambda res, a, run: [checks.check_minimality(res).to_json_obj()],
+    "exact": lambda res, a, run: [checks.check_exactness(res, i, a.modulus, a.trials,
+                                                         a.seed, run).to_json_obj()
+                                  for i in range(1, len(res.steps))],
+    "minors": lambda res, a, run: checks.minor_reports(a.scroll, a.seed),
+    "ranks": lambda res, a, run: [rep.to_json_obj() for rep in checks.check_phi_ranks(
         a.scroll, 3, a.modulus, a.trials, a.seed)],
-    "groebner": lambda res, a: [checks.groebner_consistency(a.scroll, 4).to_json_obj()],
+    "groebner": lambda res, a, run: [checks.groebner_consistency(a.scroll, 4).to_json_obj()],
 }
 CHECKS = tuple(VERIFY)
 
@@ -162,7 +163,8 @@ def cmd_verify(args) -> int:
     res = resolution.field_resolution(args.scroll, args.steps)
     if args.inject_fault:
         res = checks.inject_fault(res, args.inject_fault)
-    reports = [rep for c in wanted for rep in VERIFY[c](res, args)]
+    run = resolution._ProductRun()
+    reports = [rep for c in wanted for rep in VERIFY[c](res, args, run)]
     ok = all(r["verdict"] == "pass" for r in reports)
     _dump({"spec": str(args.scroll), "seed": args.seed, "checks": reports}, args.out)
     return 0 if ok else 1

@@ -52,14 +52,16 @@ give one join of the pairs' entries (`_ProductRun.join`), a plain loop
 over their `entries` views: the right factor's entries are bucketed by
 row, and each contribution adds the terms of its code pair's product,
 multiplied once, to its position's sums.  The memos of node products
-and code-pair products live in one `_ProductRun`: each `@` makes its own, and
-`check_complex` holds one for the whole check, so a pair of the shared
-nodes that recurs from step to step is multiplied once.  Only products
-of cached nodes (marked by `_shared`) are kept; a step's own grids never
-recur.  The couplings of step i with step i+1 are then memo hits from
-the step before, as phi_j @ phi_{j+1} is, and on every 2-block scroll a
-check of any length makes the same joins, all in its first five
-products (the largest on (4,5) holds 686 entries over both factors).
+and code-pair products live in one `_ProductRun`: each `@` makes its
+own, and `verify` holds one for the whole call, shared by
+`check_complex` and `check_exactness`, so a pair of the shared nodes
+that recurs from step to step is multiplied once, and so is a pair of
+steps found to compose to zero.  Only products of cached nodes (marked
+by `_shared`) are kept; a step's own grids never recur.  The couplings
+of step i with step i+1 are then memo hits from the step before, as
+phi_j @ phi_{j+1} is, and on every 2-block scroll a check of any length
+makes the same joins, all in its first five products (the largest on
+(4,5) holds 686 entries over both factors).
 
 Writing.  `write_json` and `write_text` stream one step at a time, a
 row group at a time: leaves whose row ranges overlap are one group
@@ -172,7 +174,8 @@ class SparseMatrixR:
 
         See the module docstring; the result equals the join of the two
         materialised matrices entry for entry.  Each call has its own
-        memos; `check_complex` shares one `_ProductRun` across a check.
+        memos; `check_complex` shares one `_ProductRun` across a check,
+        and `verify` one across its checks.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -329,12 +332,25 @@ class _ProductRun:
     recur from step to step, while a step's own grids, and their
     products, are not looked up again.  A check makes a few small joins
     on every 2-block scroll, so a join is a loop over its factors'
-    `entries` views.
+    `entries` views.  Beside the node memo, `zeros` keeps each pair of
+    consecutive steps whose product was found zero (`residual`), with
+    the pair itself, so its ids stay its own for the run.
     """
 
     def __init__(self):
         self.expansions: dict[tuple[int, int], tuple] = {}
         self.products: dict[tuple, SparseMatrixR] = {}
+        self.zeros: dict[tuple[int, int], tuple] = {}
+
+    def residual(self, lhs: SparseMatrixR, rhs: SparseMatrixR) -> SparseMatrixR:
+        """lhs @ rhs for two consecutive steps; a pair found zero is not multiplied again in this run."""
+        key = (id(lhs), id(rhs))
+        if key in self.zeros:
+            return SparseMatrixR(lhs.ring, lhs.rows, rhs.cols)
+        out = self.product(((lhs, rhs),))
+        if not out.entries:
+            self.zeros[key] = (lhs, rhs)
+        return out
 
     def product(self, terms: tuple) -> SparseMatrixR:
         """The sum of lhs @ rhs over the (lhs, rhs) pairs in terms; once per run if all are cached.

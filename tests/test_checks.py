@@ -9,7 +9,8 @@ from scrollres.checks import (FAULT_KINDS, check_complex, check_exactness,
                               groebner_consistency, inject_fault,
                               minor_certificate, minor_reports, probe_rank,
                               scroll_point)
-from scrollres.resolution import SparseMatrixR, field_resolution, phi, staircase
+from scrollres.checks import _diagonal, _rank_bound, claimed_ranks
+from scrollres.resolution import SparseMatrixR, _grid, field_resolution, phi, staircase
 from scrollres.ring import ring_for
 from scrollres.scrolls import build_scroll
 
@@ -140,6 +141,88 @@ def test_check_exactness_3_3():
     assert rep.details["cols"] == 21
     rep1 = check_exactness(res, 1, seed=42)
     assert rep1.ok and rep1.details["rank_lo"] == 1 and rep1.details["rank_hi"] == 5
+
+
+def test_block_tree_bound_meets_the_flat_rank_at_every_step():
+    """The block-tree bound never exceeds the flat rank (the kept
+    reference), and on criterion 6's specs it equals both the flat rank
+    and the claim at every step, at one random point per step."""
+    p = 32003
+    for n in range(4, 10):
+        for m in range(2, n - 1):
+            spec = build_scroll([m, n - m])
+            res = field_resolution(spec, 5)
+            for k, (step, claim) in enumerate(zip(res.steps, claimed_ranks(res))):
+                vals = scroll_point(spec, random.Random(100 * n + 10 * m + k), p)
+                flat = linalg.rank_modp(step.eval_modp(vals, p), p)
+                bound = _rank_bound(step, vals, p, {})
+                assert bound <= flat, (spec, k)
+                assert bound == flat == claim, (spec, k, bound, flat, claim)
+                # the cone steps are block upper-triangular from step 3 on
+                assert (_diagonal(step) is not None) == (k >= 2)
+
+
+def test_other_grids_take_the_flat_path(monkeypatch):
+    """Step 2's 1 x 2 bands, and a grid whose off-diagonal blocks make a
+    cycle, are evaluated whole: there the sum of the diagonal ranks can
+    exceed the rank."""
+    ring = ring_for(S33)
+    x1 = SparseMatrixR(ring, 1, 1, {(0, 0): ring.var_elem(1, 1)})
+    full = _grid(ring, [1, 1], [1, 1], {cell: x1 for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]})
+    # [[x1, x1, 0], [0, x1, x1], [-x1, 0, x1]] has rank 2
+    cycle = _grid(ring, [1, 1, 1], [1, 1, 1],
+                  {**{cell: x1 for cell in [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]}, (2, 0): -x1})
+    chain = _grid(ring, [1, 1, 1], [1, 1, 1],
+                  {cell: x1 for cell in [(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)]})
+    step2 = field_resolution(S33, 2).steps[1]
+    assert [len(step2.row_starts), len(step2.col_starts)] == [1, 2]
+    assert _diagonal(step2) is _diagonal(full) is _diagonal(cycle) is None
+    assert _diagonal(chain) == [x1] * 3  # acyclic, like phi2's three bands
+    evaluated = []
+    real_eval = SparseMatrixR.eval_modp
+
+    def eval_modp(mat, vals, p):
+        evaluated.append(mat)
+        return real_eval(mat, vals, p)
+    monkeypatch.setattr(SparseMatrixR, "eval_modp", eval_modp)
+    vals = scroll_point(S33, random.Random(1), 101)
+    for mat, rank in [(step2, 5), (full, 1), (cycle, 2)]:
+        evaluated.clear()
+        assert _rank_bound(mat, vals, 101, {}) == rank
+        assert evaluated == [mat]
+        evaluated.clear()
+        rep = probe_rank(mat, trials=1, modulus=101, claimed=rank, proven=True)
+        assert rep.probe == rank and evaluated == [mat]
+    evaluated.clear()
+    assert _rank_bound(chain, vals, 101, {}) == 3 and evaluated == [x1]  # once per distinct node
+
+
+def test_proven_probe_refuses_a_value_without_image_mod_p():
+    """A value with no image mod p, even off the diagonal, sends the probe down the flat path."""
+    ring = ring_for(S33)
+    x1 = SparseMatrixR(ring, 1, 1, {(0, 0): ring.var_elem(1, 1)})
+    third = SparseMatrixR(ring, 1, 1, {(0, 0): ring.element({(0,) * S33.n: Fraction(1, 101)})})
+    mat = _grid(ring, [1, 1], [1, 1], {(0, 0): x1, (0, 1): third, (1, 1): x1})
+    assert probe_rank(mat, trials=1, modulus=103, claimed=2, proven=True, seed=2).probe == 2
+    with pytest.raises(ValueError, match="1/101 has no image mod 101"):
+        probe_rank(mat, trials=1, modulus=101, claimed=2, proven=True)
+
+
+def test_exactness_multiplies_only_pairs_of_triangular_steps(monkeypatch):
+    """The d∘d premise is taken from step 3 @ step 4 on: the product of
+    steps 2 and 3 joins step 2's flat staircases whole."""
+    from scrollres.resolution import _ProductRun
+    pairs = set()
+    real = _ProductRun.residual
+
+    def residual(run, lhs, rhs):
+        pairs.add((id(lhs), id(rhs)))
+        return real(run, lhs, rhs)
+    monkeypatch.setattr(_ProductRun, "residual", residual)
+    res = field_resolution(S33, 5)
+    assert all(check_exactness(res, i, seed=7).ok for i in range(1, 5))
+    steps = res.steps
+    assert pairs == {(id(steps[2]), id(steps[3])), (id(steps[3]), id(steps[4]))}
 
 
 def test_check_exactness_rejects_bad_index():

@@ -411,6 +411,20 @@ def test_guards_refuse_before_the_work(tmp_path, argv, error):
     assert not path.exists()
 
 
+def test_exactness_refuses_the_step_it_never_evaluates_whole(capsys, monkeypatch):
+    """Each step passes the evaluation bound before its probe, although the
+    block-tree bound evaluates only its diagonal leaves."""
+    from scrollres import linalg
+    monkeypatch.setattr(linalg, "MAX_HELD_ENTRIES", 30_000)
+    steps = field_resolution(build_scroll([4, 5]), 6).steps
+    assert len(steps[4].entries) <= 30_000 < len(steps[5].entries)
+    rc = main(["verify", "--scroll", "4,5", "--steps", "6", "--checks", "exact"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == ("error: resource guard: evaluating a 12348x74088 F_p block holds "
+                            "more than the supported 30000 entries\n")
+
+
 def test_wide_scroll_resolves_under_the_cap(tmp_path):
     """The ring of (400,400) is built from its grading, without the
     C(798, 2) = 318,003 column pairs of its minors."""

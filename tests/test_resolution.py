@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from scrollres import linalg, resolution
-from scrollres.checks import (FAULT_KINDS, check_complex, check_minimality,
-                              check_phi_ranks, inject_fault, scroll_point)
+from scrollres.checks import (FAULT_KINDS, check_complex, check_exactness,
+                              check_minimality, check_phi_ranks, inject_fault,
+                              scroll_point)
 from scrollres.ring import ScrollRing, ring_for
 from scrollres.resolution import (MAX_FREE_RANK, MAX_STEPS, Resolution, SparseMatrixR,
                                   _grid, _parts, _per_node, _phi, _read, _sizes,
@@ -1109,6 +1110,31 @@ def test_fault_in_one_copy_of_a_repeated_tile_is_found():
     report = check_complex(tail)
     want = check_complex(materialised(tail))
     assert not report.ok and report.details == want.details
+
+
+@pytest.mark.parametrize("where", ["alpha3", "phi2"])
+def test_exactness_of_a_planted_fault_matches_the_flat_steps(where):
+    """A fault in alpha_3 (block (0, 1) of step 5) or in the third copy of
+    -phi2 gets the reports that the whole dict-backed steps get.
+
+    The block-tree bound skips alpha, so on the alpha_3 fault it still
+    meets step 5's claim, 1764, while the flat rank is 1765: only the
+    d∘d premise, which fails next to the faulty step, keeps the flat rank.
+    """
+    res = field_resolution(S45, 6)
+    step5 = res.steps[4]
+    k = [(0, 1)] if where == "alpha3" else third_phi2_copy(step5)
+    assert where != "alpha3" or block_at(step5, k)[2] is alpha(S45, 3)
+    bad = Resolution(S45, "field", res.steps[:4] + [
+        with_block(step5, k, faulty_copy(step5, k, lambda e: -e)), res.steps[5]],
+        list(res.ranks))
+    flat = materialised(bad)
+    for i in (4, 5):
+        report = check_exactness(bad, i).to_json_obj()
+        assert report == check_exactness(flat, i).to_json_obj()
+        assert report["verdict"] == "fail"
+    if where == "alpha3":
+        assert report["details"]["rank_lo"] == "1765"
 
 
 def test_joins_of_whole_steps_multiply_each_value_pair_once(joins, monkeypatch):
